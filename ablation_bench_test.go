@@ -231,7 +231,7 @@ func BenchmarkAblationOrderings(b *testing.B) {
 		ord  func() []int
 	}{
 		{"row-major", func() []int { return order.Identity(g.Len()) }},
-		{"weight-desc", func() []int { return order.ByWeightDesc(g) }},
+		{"weight-desc", func() []int { return core.WeightDescOrder(g) }},
 		{"degree-desc", func() []int { return order.ByDegreeDesc(g) }},
 		{"smallest-last", func() []int { return order.SmallestLast(g) }},
 		{"random", func() []int { return order.Shuffled(g.Len(), 7) }},

@@ -29,7 +29,9 @@
 //     (DistSolve2D — the halo-exchange protocol's coordination
 //     overhead, DESIGN.md §16),
 //   - a warm content-addressed cache hit on the large 2D instance
-//     (CacheHit — what the result cache saves on repeats).
+//     (CacheHit — what the result cache saves on repeats),
+//   - the ordering kernel alone, the order phase of GLF/PGLF and of
+//     GKF/SGK/BDP (Order/WeightDesc2D, Order/Blocks3D).
 package main
 
 import (
@@ -64,6 +66,8 @@ type Result struct {
 	MaxColor int64   `json:"maxcolor,omitempty"`
 	Par      int     `json:"par,omitempty"`
 	Speedup  float64 `json:"speedup,omitempty"`
+	// Elems is how many vertices or blocks an Order row orders per op.
+	Elems int `json:"n,omitempty"`
 }
 
 // GitInfo pins a report to the revision it measured, so benchdiff can
@@ -232,7 +236,10 @@ func run() error {
 		if err := benchDistSolve(ctx, rep, size2, sm); err != nil {
 			return err
 		}
-		return benchCacheHit(ctx, rep, size2, sm)
+		if err := benchCacheHit(ctx, rep, size2, sm); err != nil {
+			return err
+		}
+		return benchOrder(ctx, rep)
 	}()
 	if errors.Is(err, errInterrupted) {
 		rep.Interrupted = true
@@ -507,6 +514,46 @@ func benchCacheHit(ctx context.Context, rep *Report, size int, sm *stencilivc.So
 	}
 	r := record(rep, fmt.Sprintf("CacheHit/%dx%d", size, size), br)
 	r.MaxColor = mc
+	return nil
+}
+
+// benchOrder measures the ordering kernel apart from placement: the GLF
+// vertex order of a 768^2 grid and the clique-block order of a 48^3 grid,
+// both with the 0..99 weights of the perfbench batch instances. Each
+// block op first restores the unsorted slice, a memmove of the block
+// headers, so every op orders the same input.
+func benchOrder(ctx context.Context, rep *Report) error {
+	if err := checkpoint(ctx); err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(7))
+	g2 := grid.MustGrid2D(768, 768)
+	for v := range g2.W {
+		g2.W[v] = rng.Int63n(100)
+	}
+	br := measure(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			core.WeightDescOrder(g2)
+		}
+	})
+	record(rep, "Order/WeightDesc2D/768", br).Elems = g2.Len()
+	if err := checkpoint(ctx); err != nil {
+		return err
+	}
+
+	g3 := grid.MustGrid3D(48, 48, 48)
+	for v := range g3.W {
+		g3.W[v] = rng.Int63n(100)
+	}
+	blocks := grid.Blocks3D(g3)
+	work := make([]grid.Block, len(blocks))
+	br = measure(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(work, blocks)
+			grid.SortBlocksByWeightDesc(work)
+		}
+	})
+	record(rep, "Order/Blocks3D/48", br).Elems = len(blocks)
 	return nil
 }
 

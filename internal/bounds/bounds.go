@@ -28,11 +28,20 @@ func MaxPair(g core.Graph) int64 {
 // total weight of any 2×2 block (Section III-A). Degenerate grids
 // (X == 1 or Y == 1) contain no K4 and fall back to the pair bound.
 func MaxK4(g *grid.Grid2D) int64 {
-	blocks := grid.Blocks2D(g)
-	if len(blocks) == 0 {
+	if g.X < 2 || g.Y < 2 {
 		return MaxPair(g)
 	}
-	return max(grid.MaxBlockWeight(blocks), core.MaxWeight(g))
+	// Summed in place rather than through grid.Blocks2D: the bound needs
+	// no block list, and a 768² list is ~37 MB of short-lived heap.
+	dy := g.X
+	var m int64
+	for j := 0; j+1 < g.Y; j++ {
+		for i := 0; i+1 < g.X; i++ {
+			v := g.ID(i, j)
+			m = max(m, g.W[v]+g.W[v+1]+g.W[v+dy]+g.W[v+dy+1])
+		}
+	}
+	return max(m, core.MaxWeight(g))
 }
 
 // MaxK8 returns the max-clique lower bound of a 27-pt stencil: the largest
@@ -40,8 +49,7 @@ func MaxK4(g *grid.Grid2D) int64 {
 // to the K4 bound of their only layer orientation via the generic pair
 // bound on the full graph combined with per-layer K4 bounds.
 func MaxK8(g *grid.Grid3D) int64 {
-	blocks := grid.Blocks3D(g)
-	if len(blocks) == 0 {
+	if g.X < 2 || g.Y < 2 || g.Z < 2 {
 		// A 3D grid with a unit dimension is 2D in disguise (Section II);
 		// use the best K4 bound over every axis-aligned slab of thickness 1.
 		b := MaxPair(g)
@@ -50,7 +58,19 @@ func MaxK8(g *grid.Grid3D) int64 {
 		}
 		return b
 	}
-	return max(grid.MaxBlockWeight(blocks), core.MaxWeight(g))
+	// Summed in place, like MaxK4, instead of listing every block.
+	dy, dz := g.X, g.X*g.Y
+	var m int64
+	for k := 0; k+1 < g.Z; k++ {
+		for j := 0; j+1 < g.Y; j++ {
+			for i := 0; i+1 < g.X; i++ {
+				v := g.ID(i, j, k)
+				m = max(m, g.W[v]+g.W[v+1]+g.W[v+dy]+g.W[v+dy+1]+
+					g.W[v+dz]+g.W[v+dz+1]+g.W[v+dz+dy]+g.W[v+dz+dy+1])
+			}
+		}
+	}
+	return max(m, core.MaxWeight(g))
 }
 
 // CliqueSum returns the exact optimum of a clique: the sum of all weights

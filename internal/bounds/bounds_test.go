@@ -55,6 +55,29 @@ func TestMaxK8(t *testing.T) {
 	}
 }
 
+// TestMaxKMatchesBlockList checks the in-place block sums of MaxK4 and
+// MaxK8 against the heaviest block of the enumerated K4/K8 lists on
+// random non-degenerate grids of uneven extents.
+func TestMaxKMatchesBlockList(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		g2 := grid.MustGrid2D(2+rng.Intn(9), 2+rng.Intn(9))
+		for v := range g2.W {
+			g2.W[v] = rng.Int63n(100)
+		}
+		if got, want := MaxK4(g2), max(grid.MaxBlockWeight(grid.Blocks2D(g2)), core.MaxWeight(g2)); got != want {
+			t.Fatalf("MaxK4 on %dx%d = %d, block list says %d", g2.X, g2.Y, got, want)
+		}
+		g3 := grid.MustGrid3D(2+rng.Intn(5), 2+rng.Intn(5), 2+rng.Intn(5))
+		for v := range g3.W {
+			g3.W[v] = rng.Int63n(100)
+		}
+		if got, want := MaxK8(g3), max(grid.MaxBlockWeight(grid.Blocks3D(g3)), core.MaxWeight(g3)); got != want {
+			t.Fatalf("MaxK8 on %dx%dx%d = %d, block list says %d", g3.X, g3.Y, g3.Z, got, want)
+		}
+	}
+}
+
 func TestCliqueSum(t *testing.T) {
 	if s := CliqueSum([]int64{1, 2, 3}); s != 6 {
 		t.Errorf("CliqueSum = %d", s)

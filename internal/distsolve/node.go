@@ -1,9 +1,7 @@
 package distsolve
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"stencilivc/internal/core"
@@ -116,13 +114,9 @@ func newNode(id int, b box, s *sim) *node {
 		}
 	}
 	if s.weightDesc {
-		g := s.g
-		slices.SortFunc(n.verts, func(a, b int) int {
-			if wa, wb := g.Weight(a), g.Weight(b); wa != wb {
-				return cmp.Compare(wb, wa) // heavier first
-			}
-			return cmp.Compare(a, b)
-		})
+		// Cells were appended ascending, so weight ties stay by id.
+		var ord core.OrderScratch
+		ord.SortWeightDesc(s.g, n.verts)
 	}
 	n.starts = make([]int64, b.cells())
 	for i := range n.starts {

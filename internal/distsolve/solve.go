@@ -7,7 +7,6 @@ import (
 	"stencilivc/internal/core"
 	"stencilivc/internal/grid"
 	"stencilivc/internal/obsv"
-	"stencilivc/internal/order"
 	"stencilivc/internal/parallel"
 )
 
@@ -145,7 +144,7 @@ func Solve(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, 
 // the same bytes.
 func orderFor(s grid.Stencil, cfg Config) []int {
 	if cfg.Order == parallel.OrderWeightDesc {
-		return order.ByWeightDesc(s)
+		return core.WeightDescOrder(s)
 	}
 	return s.LineOrder()
 }

@@ -1,10 +1,6 @@
 package exact
 
-import (
-	"sort"
-
-	"stencilivc/internal/core"
-)
+import "stencilivc/internal/core"
 
 // Result reports the outcome of an exact optimization attempt.
 type Result struct {
@@ -43,15 +39,7 @@ func Optimize(g core.Graph, opts OptimizeOptions) Result {
 	if opts.NodeBudget <= 0 {
 		opts.NodeBudget = defaultNodeBudget
 	}
-	n := g.Len()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Weight(order[a]) > g.Weight(order[b])
-	})
-	ubColoring, err := core.GreedyColor(g, order)
+	ubColoring, err := core.GreedyColor(g, core.WeightDescOrder(g))
 	if err != nil {
 		panic("exact: identity permutation rejected: " + err.Error())
 	}

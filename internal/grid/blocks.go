@@ -1,12 +1,19 @@
 package grid
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+
+	"stencilivc/internal/core"
+)
 
 // Block is a maximal clique of a stencil grid: a 2×2 square (K4) of a
 // Grid2D or a 2×2×2 cube (K8) of a Grid3D. Blocks drive the max-clique
 // lower bound (Section III-A) and the GKF/SGK heuristics (Section V-A).
 type Block struct {
 	// Vertices lists the member vertex ids; 4 entries in 2D, 8 in 3D.
+	// Blocks2D/3D carve every block's list from one shared array, each
+	// capped at its length, so appending to one never reaches another.
 	Vertices []int
 	// Weight is the sum of the member weights.
 	Weight int64
@@ -20,12 +27,15 @@ func Blocks2D(g *Grid2D) []Block {
 		return nil
 	}
 	blocks := make([]Block, 0, (g.X-1)*(g.Y-1))
+	all := make([]int, 0, 4*cap(blocks))
 	for j := 0; j+1 < g.Y; j++ {
 		for i := 0; i+1 < g.X; i++ {
-			vs := []int{
+			at := len(all)
+			all = append(all,
 				g.ID(i, j), g.ID(i+1, j),
 				g.ID(i, j+1), g.ID(i+1, j+1),
-			}
+			)
+			vs := all[at:len(all):len(all)]
 			var w int64
 			for _, v := range vs {
 				w += g.W[v]
@@ -43,15 +53,18 @@ func Blocks3D(g *Grid3D) []Block {
 		return nil
 	}
 	blocks := make([]Block, 0, (g.X-1)*(g.Y-1)*(g.Z-1))
+	all := make([]int, 0, 8*cap(blocks))
 	for k := 0; k+1 < g.Z; k++ {
 		for j := 0; j+1 < g.Y; j++ {
 			for i := 0; i+1 < g.X; i++ {
-				vs := []int{
+				at := len(all)
+				all = append(all,
 					g.ID(i, j, k), g.ID(i+1, j, k),
 					g.ID(i, j+1, k), g.ID(i+1, j+1, k),
 					g.ID(i, j, k+1), g.ID(i+1, j, k+1),
 					g.ID(i, j+1, k+1), g.ID(i+1, j+1, k+1),
-				}
+				)
+				vs := all[at:len(all):len(all)]
 				var w int64
 				for _, v := range vs {
 					w += g.W[v]
@@ -78,14 +91,34 @@ func PairBlocks(weights []int64, ids []int) []Block {
 }
 
 // SortBlocksByWeightDesc orders blocks by non-increasing weight. Ties are
-// broken by the first vertex id so the order is deterministic across runs.
+// broken by the first vertex id so the order is deterministic across runs
+// (blocks that tie on both keep their input order).
 func SortBlocksByWeightDesc(blocks []Block) {
-	sort.SliceStable(blocks, func(a, b int) bool {
-		if blocks[a].Weight != blocks[b].Weight {
-			return blocks[a].Weight > blocks[b].Weight
+	// The kernel's order is stable, so ranking input already in
+	// Vertices[0] order by weight alone yields the tie rule. Blocks2D/3D
+	// and PairBlocks emit that order; anything else is put in it first.
+	byFirst := func(a, b Block) int { return cmp.Compare(a.Vertices[0], b.Vertices[0]) }
+	if !slices.IsSortedFunc(blocks, byFirst) {
+		first := make([]uint64, len(blocks))
+		for i, b := range blocks {
+			first[i] = uint64(b.Vertices[0])
 		}
-		return blocks[a].Vertices[0] < blocks[b].Vertices[0]
-	})
+		permuteBlocks(blocks, core.OrderAsc(first))
+	}
+	weights := make([]int64, len(blocks))
+	for i, b := range blocks {
+		weights[i] = b.Weight
+	}
+	permuteBlocks(blocks, core.OrderDesc(weights))
+}
+
+// permuteBlocks rearranges blocks so that blocks[i] becomes the input's
+// blocks[order[i]].
+func permuteBlocks(blocks []Block, order []int) {
+	src := slices.Clone(blocks)
+	for i, j := range order {
+		blocks[i] = src[j]
+	}
 }
 
 // MaxBlockWeight returns the largest block weight (0 when blocks is empty).

@@ -123,3 +123,25 @@ func TestPairBlocksAndMaxWeight(t *testing.T) {
 		t.Error("MaxBlockWeight(nil) != 0")
 	}
 }
+
+// TestBlockVerticesIsolated pins the shared backing array of Blocks2D/3D:
+// each block's Vertices is capped at its length, so appending to one
+// block reallocates instead of overwriting its neighbour's members.
+func TestBlockVerticesIsolated(t *testing.T) {
+	for name, blocks := range map[string][]Block{
+		"2d": Blocks2D(MustGrid2D(3, 3)),
+		"3d": Blocks3D(MustGrid3D(3, 3, 3)),
+	} {
+		next := append([]int(nil), blocks[1].Vertices...)
+		grown := append(blocks[0].Vertices, -1)
+		grown[0] = -2
+		for i, v := range blocks[1].Vertices {
+			if v != next[i] {
+				t.Fatalf("%s: appending to block 0 changed block 1 to %v, want %v", name, blocks[1].Vertices, next)
+			}
+		}
+		if blocks[0].Vertices[0] == -2 {
+			t.Fatalf("%s: append to block 0 wrote through its shared array", name)
+		}
+	}
+}

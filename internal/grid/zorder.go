@@ -1,6 +1,6 @@
 package grid
 
-import "sort"
+import "stencilivc/internal/core"
 
 // Morton2D interleaves the low 21 bits of i and j into a Z-order key:
 // bit b of i lands at position 2b, bit b of j at position 2b+1. Cells that
@@ -40,28 +40,22 @@ func spread3(v uint64) uint64 {
 // ZOrder2D returns the vertices of g sorted by their 2D Morton key.
 // The result is a permutation of 0..g.Len()-1.
 func ZOrder2D(g *Grid2D) []int {
-	order := make([]int, g.Len())
 	keys := make([]uint64, g.Len())
-	for v := range order {
-		order[v] = v
+	for v := range keys {
 		i, j := g.Coords(v)
 		keys[v] = Morton2D(i, j)
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	return order
+	return core.OrderAsc(keys)
 }
 
 // ZOrder3D returns the vertices of g sorted by their 3D Morton key.
 func ZOrder3D(g *Grid3D) []int {
-	order := make([]int, g.Len())
 	keys := make([]uint64, g.Len())
-	for v := range order {
-		order[v] = v
+	for v := range keys {
 		i, j, k := g.Coords(v)
 		keys[v] = Morton3D(i, j, k)
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	return order
+	return core.OrderAsc(keys)
 }
 
 // LineByLine2D returns the row-major traversal used by the Greedy

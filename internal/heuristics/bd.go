@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"fmt"
-	"sort"
 
 	"stencilivc/internal/core"
 	"stencilivc/internal/grid"
@@ -131,7 +130,7 @@ func postOrder(g core.Graph, c core.Coloring, blocks []grid.Block) []int {
 	grid.SortBlocksByWeightDesc(sorted)
 	order := make([]int, 0, g.Len())
 	seen := make([]bool, g.Len())
-	var members []int
+	members := make([]int, 0, 8)
 	for _, b := range sorted {
 		members = members[:0]
 		for _, v := range b.Vertices {
@@ -139,9 +138,16 @@ func postOrder(g core.Graph, c core.Coloring, blocks []grid.Block) []int {
 				members = append(members, v)
 			}
 		}
-		sort.SliceStable(members, func(a, bb int) bool {
-			return c.Start[members[a]] < c.Start[members[bb]]
-		})
+		// Stable insertion sort by start: at most 8 members, and no
+		// per-block allocation (TestPostOrderAllocsConstant).
+		for i := 1; i < len(members); i++ {
+			v := members[i]
+			j := i - 1
+			for ; j >= 0 && c.Start[members[j]] > c.Start[v]; j-- {
+				members[j+1] = members[j]
+			}
+			members[j+1] = v
+		}
 		for _, v := range members {
 			seen[v] = true
 			order = append(order, v)

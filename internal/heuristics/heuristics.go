@@ -1,8 +1,6 @@
 package heuristics
 
 import (
-	"sort"
-
 	"stencilivc/internal/core"
 	"stencilivc/internal/grid"
 )
@@ -65,15 +63,8 @@ func LargestFirst(g core.Graph) core.Coloring {
 }
 
 // WeightDescOrder returns the GLF vertex order — non-increasing weight,
-// ties by vertex id — without coloring; it is the single comparator
-// shared by LargestFirst, the exact solvers, and the experiment harness.
+// ties by vertex id — without coloring. It is core.WeightDescOrder, the
+// ordering kernel every weight-ordered solver shares.
 func WeightDescOrder(g core.Graph) []int {
-	order := make([]int, g.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Weight(order[a]) > g.Weight(order[b])
-	})
-	return order
+	return core.WeightDescOrder(g)
 }

@@ -256,6 +256,23 @@ func TestWeightDescOrder(t *testing.T) {
 	}
 }
 
+// TestPostOrderAllocsConstant pins BDP's recoloring order to a fixed
+// number of allocations however many blocks it orders: the per-block
+// member sort is inline, where sort.SliceStable allocated a reflect
+// swapper for every block.
+func TestPostOrderAllocsConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	allocs := func(x, y int) float64 {
+		g := random2D(rng, x, y, 99)
+		c, blocks := LargestFirst(g), g.CliqueBlocks()
+		return testing.AllocsPerRun(5, func() { postOrder(g, c, blocks) })
+	}
+	small, large := allocs(8, 8), allocs(64, 64)
+	if small != large || large > 10 {
+		t.Errorf("postOrder allocates %v/op on 49 blocks and %v/op on 3969, want the same small constant", small, large)
+	}
+}
+
 func TestRunAlgorithmsOnSingleVertex(t *testing.T) {
 	g2 := grid.MustGrid2D(1, 1)
 	g2.W[0] = 7

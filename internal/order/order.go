@@ -24,16 +24,6 @@ func Identity(n int) []int {
 	return out
 }
 
-// ByWeightDesc orders vertices by non-increasing weight (ties by id) —
-// the GLF order, exposed here for composition with iterated greedy.
-func ByWeightDesc(g core.Graph) []int {
-	out := Identity(g.Len())
-	sort.SliceStable(out, func(a, b int) bool {
-		return g.Weight(out[a]) > g.Weight(out[b])
-	})
-	return out
-}
-
 // ByDegreeDesc is Welsh & Powell's Largest First: vertices by
 // non-increasing degree (ties by id).
 func ByDegreeDesc(g core.Graph) []int {

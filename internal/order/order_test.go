@@ -18,14 +18,6 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
-func TestByWeightDesc(t *testing.T) {
-	g := core.Chain([]int64{2, 9, 4})
-	got := ByWeightDesc(g)
-	if got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Errorf("order = %v", got)
-	}
-}
-
 func TestByDegreeDesc(t *testing.T) {
 	// Star: center has max degree.
 	star := core.MustCSRGraph([]int64{1, 1, 1, 1},

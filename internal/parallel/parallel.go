@@ -1,17 +1,14 @@
 package parallel
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"stencilivc/internal/core"
 	"stencilivc/internal/grid"
 	"stencilivc/internal/obsv"
-	"stencilivc/internal/order"
 )
 
 // The fault-injection sites of the tile-parallel solver, consulted via
@@ -149,7 +146,7 @@ func Greedy(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring,
 // to GLF's weight order).
 func fallbackOrder(s grid.Stencil, cfg Config) []int {
 	if cfg.Order == OrderWeightDesc {
-		return order.ByWeightDesc(s)
+		return core.WeightDescOrder(s)
 	}
 	return s.LineOrder()
 }
@@ -259,6 +256,8 @@ type run struct {
 type scratch struct {
 	pl    Placer
 	verts []int
+	// ord holds the ordering kernel's buffers for OrderWeightDesc tiles.
+	ord core.OrderScratch
 	// steals counts tile-range steals this worker performed; flushed
 	// into the Steals metric alongside the placement counters.
 	steals int64
@@ -444,17 +443,10 @@ func (r *run) flush(w *scratch) {
 func (r *run) tileOrder(w *scratch, t grid.Tile) []int {
 	w.verts = t.AppendVertices(w.verts[:0])
 	if r.cfg.Order == OrderWeightDesc {
-		// slices.SortFunc, not sort.Slice: the generic sort moves
-		// elements directly instead of through a reflect-based swapper,
-		// allocates nothing, and inlines the comparator. Pinned by
-		// TestTileOrderNoAllocs.
-		g := r.g
-		slices.SortFunc(w.verts, func(a, b int) int {
-			if wa, wb := g.Weight(a), g.Weight(b); wa != wb {
-				return cmp.Compare(wb, wa) // heavier first
-			}
-			return cmp.Compare(a, b) // ties by vertex id
-		})
+		// The cells come out ascending, so the kernel's stable order
+		// breaks weight ties by vertex id. Its buffers live in the
+		// scratch: pinned allocation-free by TestTileOrderNoAllocs.
+		w.ord.SortWeightDesc(r.g, w.verts)
 	}
 	return w.verts
 }
