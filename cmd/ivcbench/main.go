@@ -25,9 +25,10 @@
 //     (Figures 5a and 7a of the paper),
 //   - the tile-parallel speculative solver (PGLL) against sequential
 //     GLL on large grids at increasing worker counts,
-//   - the fault-free distributed sharded solver over four shards
-//     (DistSolve2D — the halo-exchange protocol's coordination
-//     overhead, DESIGN.md §16),
+//   - the fault-free distributed sharded solver over four shards in
+//     both global orders (DistSolve2D — the halo-exchange protocol's
+//     coordination overhead, with rounds and messages as work
+//     counters, DESIGN.md §16),
 //   - a warm content-addressed cache hit on the large 2D instance
 //     (CacheHit — what the result cache saves on repeats),
 //   - the ordering kernel alone, the order phase of GLF/PGLF and of
@@ -68,6 +69,12 @@ type Result struct {
 	Speedup  float64 `json:"speedup,omitempty"`
 	// Elems is how many vertices or blocks an Order row orders per op.
 	Elems int `json:"n,omitempty"`
+	// Rounds and MsgsSent are a DistSolve row's work counters: protocol
+	// rounds to the certified fixpoint and first-send halo messages, per
+	// solve. Both are deterministic on a fault-free run, so a change in
+	// either is an algorithmic change, whatever the timing noise.
+	Rounds   int64 `json:"rounds,omitempty"`
+	MsgsSent int64 `json:"msgs_sent,omitempty"`
 }
 
 // GitInfo pins a report to the revision it measured, so benchdiff can
@@ -558,56 +565,72 @@ func benchOrder(ctx context.Context, rep *Report) error {
 }
 
 // benchDistSolve measures the fault-free distributed sharded solve
-// (DESIGN.md §16) on a size×size instance over four shards with the
-// weight-descending sweep order, whose rounds-to-fixpoint stay constant
-// with grid size (line order's wavefront scales with the axis extent).
-// The coloring is byte-identical to the sequential greedy, so the gap
-// between this row and the same-size sequential rows is exactly the
-// halo-exchange protocol's coordination overhead. The row additionally
-// asserts the fixpoint path produced the result: a fault-free bench run
-// must never descend to the sequential fallback.
+// (DESIGN.md §16) on a size×size instance over four shards, once per
+// global order: the weight-descending row keeps its historical name,
+// the line-order row is DistSolve2D/<n>x<n>/line/shards<k>. The
+// coloring is byte-identical to the sequential greedy, so the gap
+// between a row and the same-size sequential rows is exactly the
+// halo-exchange protocol's coordination overhead. Each row records the
+// rounds and messages of one solve as work counters and asserts the
+// fixpoint path produced the result: a fault-free bench run must never
+// descend to the sequential fallback.
 func benchDistSolve(ctx context.Context, rep *Report, size int, sm *stencilivc.SolveMetrics) error {
-	if err := checkpoint(ctx); err != nil {
-		return err
-	}
 	const shards = 4
 	g := grid.MustGrid2D(size, size)
 	rng := rand.New(rand.NewSource(6))
 	for v := range g.W {
 		g.W[v] = rng.Int63n(9) + 1
 	}
-	cfg := stencilivc.DistConfig{Shards: shards, Order: stencilivc.DistOrderWeightDesc}
-	// The fallback assertion needs a meter even when -metrics is off.
-	dm := sm
-	if dm == nil {
-		dm = stencilivc.NewSolveMetrics(stencilivc.NewMetricsRegistry())
-	}
-	opts := &stencilivc.SolveOptions{Metrics: dm}
-	fallbacksBefore := dm.Dist.Fallbacks.Value()
-	var last stencilivc.Coloring
-	var solveErr error
-	br := measure(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c, err := stencilivc.DistSolve(g, cfg, opts)
-			if err != nil {
-				solveErr = err
-				b.FailNow()
-			}
-			last = c
+	for _, row := range []struct {
+		name  string
+		order stencilivc.DistOrder
+	}{
+		{fmt.Sprintf("DistSolve2D/%dx%d/shards%d", size, size, shards), stencilivc.DistOrderWeightDesc},
+		{fmt.Sprintf("DistSolve2D/%dx%d/line/shards%d", size, size, shards), stencilivc.DistOrderLine},
+	} {
+		if err := checkpoint(ctx); err != nil {
+			return err
 		}
-	})
-	if solveErr != nil {
-		return solveErr
+		cfg := stencilivc.DistConfig{Shards: shards, Order: row.order}
+		// The fallback assertion needs a meter even when -metrics is off.
+		dm := sm
+		if dm == nil {
+			dm = stencilivc.NewSolveMetrics(stencilivc.NewMetricsRegistry())
+		}
+		opts := &stencilivc.SolveOptions{Metrics: dm}
+		fallbacksBefore := dm.Dist.Fallbacks.Value()
+		var last stencilivc.Coloring
+		var solveErr error
+		br := measure(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c, err := stencilivc.DistSolve(g, cfg, opts)
+				if err != nil {
+					solveErr = err
+					b.FailNow()
+				}
+				last = c
+			}
+		})
+		if solveErr != nil {
+			return solveErr
+		}
+		if err := last.Validate(g); err != nil {
+			return fmt.Errorf("distributed solve produced an invalid coloring: %w", err)
+		}
+		if got := dm.Dist.Fallbacks.Value(); got != fallbacksBefore {
+			return fmt.Errorf("fault-free distributed bench fell back %d times", got-fallbacksBefore)
+		}
+		// One more solve on its own meter reads the per-solve counters.
+		one := stencilivc.NewSolveMetrics(stencilivc.NewMetricsRegistry())
+		if _, err := stencilivc.DistSolve(g, cfg, &stencilivc.SolveOptions{Metrics: one}); err != nil {
+			return err
+		}
+		r := record(rep, row.name, br)
+		r.MaxColor = last.MaxColor(g)
+		r.Par = shards
+		r.Rounds = one.Dist.Rounds.Value()
+		r.MsgsSent = one.Dist.MsgsSent.Value()
 	}
-	if err := last.Validate(g); err != nil {
-		return fmt.Errorf("distributed solve produced an invalid coloring: %w", err)
-	}
-	if got := dm.Dist.Fallbacks.Value(); got != fallbacksBefore {
-		return fmt.Errorf("fault-free distributed bench fell back %d times", got-fallbacksBefore)
-	}
-	r := record(rep, fmt.Sprintf("DistSolve2D/%dx%d/shards%d", size, size, shards), br)
-	r.MaxColor = last.MaxColor(g)
-	r.Par = shards
 	return nil
 }
 

@@ -120,6 +120,37 @@ func TestEquivalenceNoFault(t *testing.T) {
 	}
 }
 
+// TestLineOrderRoundsBounded: line-order shards are slabs along the
+// slowest axis, totally ordered in the global order, so slab i is final
+// after i+1 rounds and a no-fault solve certifies within shards+2
+// rounds whatever the grid extent.
+func TestLineOrderRoundsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    grid.Stencil
+	}{
+		{"2d-64x64", weighted2D(64, 64)},
+		{"3d-16x16x8", weighted3D(16, 16, 8)},
+	} {
+		for _, shards := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				m := newMetrics()
+				got, err := Solve(tc.s, Config{Shards: shards}, &core.SolveOptions{Metrics: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, tc.s, got, sequential(t, tc.s, parallel.OrderLine))
+				if fb := m.Dist.Fallbacks.Value(); fb != 0 {
+					t.Errorf("no-fault run used the fallback %d times; identity must come from the fixpoint", fb)
+				}
+				if r := m.Dist.Rounds.Value(); r > int64(shards+2) {
+					t.Errorf("certified after %d rounds, want <= shards+2 = %d", r, shards+2)
+				}
+			})
+		}
+	}
+}
+
 // TestStormMatrix: each chaos site alone, and all four together, on 2D
 // and 3D instances. Every storm run must terminate, validate, stay
 // byte-identical to the sequential greedy, and leave the expected

@@ -22,6 +22,12 @@ func FuzzDistStorm(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(12), uint8(0), uint8(4), false, uint8(60), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(9), uint8(7), uint8(3), uint8(8), true, uint8(0), uint8(60), uint8(60), uint8(1))
 	f.Add(int64(3), uint8(1), uint8(20), uint8(0), uint8(5), false, uint8(255), uint8(0), uint8(0), uint8(2))
+	// Line-order slab cuts at their edges: a 3D grid with Z = 1 (slabs
+	// fall back to y), one with Z below the shard count (fewer slabs),
+	// and a one-row 2D grid (slabs fall back to x).
+	f.Add(int64(4), uint8(8), uint8(6), uint8(1), uint8(2), false, uint8(60), uint8(30), uint8(0), uint8(1))
+	f.Add(int64(5), uint8(5), uint8(4), uint8(3), uint8(5), false, uint8(40), uint8(0), uint8(40), uint8(3))
+	f.Add(int64(6), uint8(19), uint8(0), uint8(0), uint8(3), false, uint8(0), uint8(60), uint8(60), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, xr, yr, zr, shardsR uint8, weightDesc bool,
 		dropP, dupP, delayP, crashNth uint8) {
 		x := int(xr%20) + 1

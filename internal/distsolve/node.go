@@ -54,22 +54,43 @@ type node struct {
 	b  box
 	s  *sim
 
-	// verts is the region in sweep order (ascending global id for line
-	// order, weight-descending with id tie-break for GLF order); starts
-	// is index-aligned with the region's geometric layout (regionIdx).
-	verts  []int
-	starts []int64
+	// pb is b grown by one cell (box.expand), unclamped. The node's
+	// state is dense over pb in the grid's row-major layout, so offset
+	// order is global-id order and every stencil neighbor of an owned
+	// cell is an in-range offset. val holds the owned cells' starts and,
+	// on the ring, the halo cache: the last applied snapshot value of
+	// each remote cell, Unset until a snapshot mentions it (unknown =
+	// unconstrained; the fixpoint certification makes that safe). Ring
+	// cells past the grid edge stay Unset with weight 0, so they
+	// constrain nothing. sy is pb's row stride.
+	pb  box
+	sy  int
+	val []int64
+	w   []int64
+	// dirty marks owned cells whose inputs may have changed since their
+	// last placement; a sweep recomputes only those. Marks that land on
+	// ring cells are never read.
+	dirty []bool
 
-	// halo caches the last applied boundary snapshot values of remote
-	// cells; lastApplied[q] is the highest data sequence applied from
-	// node q (the dedup watermark).
-	halo        map[int]int64
+	// verts is the region in sweep order (ascending global id for line
+	// order, weight-descending with id tie-break for GLF order); offs is
+	// index-aligned with it and holds each vertex's offset in pb.
+	verts []int
+	offs  []int
+
+	// before and after are the stencil steps to the neighbors that may
+	// precede and follow a cell in the global order: the negative and
+	// positive offsets in line order, every step in weight order (where
+	// earlier decides per pair).
+	before, after []step
+
+	// lastApplied[q] is the highest data sequence applied from node q
+	// (the dedup watermark).
 	lastApplied []int64
 
-	// peers lists adjacent shard ids; sendCells[q] the cells of this
-	// region that shard q can see (its inbound halo).
-	peers     []int
-	sendCells map[int][]int
+	// peers lists the adjacent shards with the cells of this region
+	// each one can see (its inbound halo).
+	peers []peer
 
 	ctrl  chan ctrlMsg
 	inbox <-chan Message
@@ -85,26 +106,64 @@ type node struct {
 	pl parallel.Placer
 }
 
+// step is one stencil direction in a node's padded layout: the offset
+// delta and the coordinate deltas behind it.
+type step struct {
+	off        int
+	dx, dy, dz int
+}
+
+// peer is one adjacent shard: its id and the cells of this region it
+// can see, as ascending global ids and as offsets in the padded box.
+type peer struct {
+	id    int
+	cells []int
+	offs  []int
+}
+
 // newNode builds the node for shard id over box b, wiring its transport
-// inbox and precomputing the sweep order and per-peer boundary lists.
+// inbox and precomputing the dense state, the sweep order, and the
+// per-peer boundary lists. Every owned cell starts dirty, so the first
+// sweep — round 1, or a re-homed node restarting from Unset — places
+// the whole region.
 func newNode(id int, b box, s *sim) *node {
 	n := &node{
 		id:          id,
 		b:           b,
 		s:           s,
-		halo:        map[int]int64{},
+		pb:          b.expand(s.gz > 1),
 		lastApplied: make([]int64, len(s.boxes)),
-		sendCells:   map[int][]int{},
 		ctrl:        make(chan ctrlMsg, 4),
 		inbox:       s.tr.Recv(id),
 		done:        make(chan struct{}),
-		pl:          parallel.Placer{},
 	}
 	n.pl.Reset(s.g, s.uniW)
 	if s.otr != nil {
 		n.lane = s.otr.Lane()
 		s.otr.LabelLane(n.lane, fmt.Sprintf("dist/shard-%d", id))
 	}
+	if b.empty() {
+		return n
+	}
+	pb := n.pb
+	n.sy = pb.X1 - pb.X0
+	sz := n.sy * (pb.Y1 - pb.Y0)
+	n.val = make([]int64, pb.cells())
+	n.w = make([]int64, pb.cells())
+	n.dirty = make([]bool, pb.cells())
+	o := 0
+	for k := pb.Z0; k < pb.Z1; k++ {
+		for j := pb.Y0; j < pb.Y1; j++ {
+			for i := pb.X0; i < pb.X1; i++ {
+				n.val[o] = core.Unset
+				if i >= 0 && i < s.gx && j >= 0 && j < s.gy && k >= 0 && k < s.gz {
+					n.w[o] = s.g.Weight((k*s.gy+j)*s.gx + i)
+				}
+				o++
+			}
+		}
+	}
+
 	n.verts = make([]int, 0, b.cells())
 	for k := b.Z0; k < b.Z1; k++ {
 		for j := b.Y0; j < b.Y1; j++ {
@@ -118,95 +177,138 @@ func newNode(id int, b box, s *sim) *node {
 		var ord core.OrderScratch
 		ord.SortWeightDesc(s.g, n.verts)
 	}
-	n.starts = make([]int64, b.cells())
-	for i := range n.starts {
-		n.starts[i] = core.Unset
+	n.offs = make([]int, len(n.verts))
+	for x, v := range n.verts {
+		n.offs[x] = n.offset(n.coords(v))
+		n.dirty[n.offs[x]] = true
 	}
-	if !b.empty() {
-		for q, qb := range s.boxes {
-			if q == id || qb.empty() {
-				continue
+
+	dzs := []int{0}
+	if s.gz > 1 {
+		dzs = []int{-1, 0, 1}
+	}
+	for _, dz := range dzs {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				st := step{off: dz*sz + dy*n.sy + dx, dx: dx, dy: dy, dz: dz}
+				if st.off < 0 || (s.weightDesc && st.off != 0) {
+					n.before = append(n.before, st)
+				}
+				if st.off > 0 || (s.weightDesc && st.off != 0) {
+					n.after = append(n.after, st)
+				}
 			}
-			if cells := boundaryCells(b, qb, s.gx, s.gy, s.gz); len(cells) > 0 {
-				n.peers = append(n.peers, q)
-				n.sendCells[q] = cells
+		}
+	}
+
+	for q, qb := range s.boxes {
+		if q == id || qb.empty() {
+			continue
+		}
+		if cells := boundaryCells(b, qb, s.gx, s.gy); len(cells) > 0 {
+			p := peer{id: q, cells: cells, offs: make([]int, len(cells))}
+			for x, v := range cells {
+				p.offs[x] = n.offset(n.coords(v))
 			}
+			n.peers = append(n.peers, p)
 		}
 	}
 	return n
 }
 
-// regionIdx maps a global vertex id inside the box to its slot in
-// starts (row-major within the box).
-func (n *node) regionIdx(v int) int {
-	i := v % n.s.gx
-	j := (v / n.s.gx) % n.s.gy
-	k := v / (n.s.gx * n.s.gy)
-	b := n.b
-	return ((k-b.Z0)*(b.Y1-b.Y0)+(j-b.Y0))*(b.X1-b.X0) + (i - b.X0)
+// coords returns the grid coordinates of global vertex v.
+func (n *node) coords(v int) (i, j, k int) {
+	gx, gy := n.s.gx, n.s.gy
+	return v % gx, v / gx % gy, v / (gx * gy)
 }
 
-// read returns the value the node currently believes vertex u has:
-// its own region for local cells, the halo cache for remote ones,
-// Unset when no snapshot has mentioned u yet (unknown = unconstrained;
-// the fixpoint certification makes that safe).
-func (n *node) read(u int) int64 {
-	i := u % n.s.gx
-	j := (u / n.s.gx) % n.s.gy
-	k := u / (n.s.gx * n.s.gy)
-	if n.b.contains(i, j, k) {
-		return n.starts[n.regionIdx(u)]
-	}
-	if s, ok := n.halo[u]; ok {
-		return s
-	}
-	return core.Unset
+// offset maps grid cell (i, j, k), which must lie in pb, to its slot
+// in the dense state.
+func (n *node) offset(i, j, k int) int {
+	pb := n.pb
+	return ((k-pb.Z0)*(pb.Y1-pb.Y0)+(j-pb.Y0))*n.sy + (i - pb.X0)
 }
 
-// earlier reports whether u precedes v in the global visit order — the
-// only neighbors a placement may observe. Restricting observation to
-// earlier vertices is what pins the protocol's fixpoint to the
-// sequential greedy coloring.
+// earlier reports whether the cell at offset u precedes the one at
+// offset v in the global visit order — the only neighbors a placement
+// may observe. Restricting observation to earlier vertices is what pins
+// the protocol's fixpoint to the sequential greedy coloring. Offset
+// order is global-id order, so ids never need reconstructing.
 func (n *node) earlier(u, v int) bool {
 	if !n.s.weightDesc {
 		return u < v // line order is ascending vertex id
 	}
-	wu, wv := n.s.g.Weight(u), n.s.g.Weight(v)
+	wu, wv := n.w[u], n.w[v]
 	return wu > wv || (wu == wv && u < v)
 }
 
-// sweep recomputes the whole region in sweep order (Gauss–Seidel:
+// sweep places the region's dirty cells in sweep order (Gauss–Seidel:
 // later placements see this round's values of earlier local cells) and
-// returns how many vertices changed.
+// returns how many starts changed. A changed start dirties the cell's
+// later owned neighbors, which the same sweep reaches further on. Every
+// clean cell already holds the lowest fit of its current inputs, so the
+// sweep ends in exactly the state — and counts exactly the changes — of
+// a full recompute of the region.
 func (n *node) sweep() (changed int64) {
-	g := n.s.g
-	for _, v := range n.verts {
-		pl := &n.pl
-		for _, u := range pl.Begin(v) {
-			if !n.earlier(u, v) {
-				continue
-			}
-			pl.Observe(n.read(u), g.Weight(u))
+	pl := &n.pl
+	wd := n.s.weightDesc
+	for _, v := range n.offs {
+		if !n.dirty[v] {
+			continue
 		}
-		s := pl.Commit(g.Weight(v))
-		ri := n.regionIdx(v)
-		if n.starts[ri] != s {
-			n.starts[ri] = s
-			changed++
+		n.dirty[v] = false
+		pl.Clear()
+		for _, st := range n.before {
+			if u := v + st.off; !wd || n.earlier(u, v) {
+				pl.Observe(n.val[u], n.w[u])
+			}
+		}
+		s := pl.Commit(n.w[v])
+		if n.val[v] == s {
+			continue
+		}
+		n.val[v] = s
+		changed++
+		for _, st := range n.after {
+			if u := v + st.off; !wd || n.earlier(v, u) {
+				n.dirty[u] = true
+			}
 		}
 	}
 	return changed
 }
 
-// snapshot builds the fresh boundary snapshot for peer q. A new slice
+// applyHalo caches remote cell c's start and, when the cached value
+// changed (first sight included: the cache starts Unset), dirties c's
+// later-in-order owned neighbors. Cells outside the ring are ignored.
+func (n *node) applyHalo(c HaloCell) {
+	i, j, k := n.coords(c.V)
+	if !n.pb.contains(i, j, k) || n.b.contains(i, j, k) {
+		return
+	}
+	u := n.offset(i, j, k)
+	if n.val[u] == c.Start {
+		return
+	}
+	n.val[u] = c.Start
+	for _, st := range n.after {
+		if !n.b.contains(i+st.dx, j+st.dy, k+st.dz) {
+			continue
+		}
+		if v := u + st.off; !n.s.weightDesc || n.earlier(u, v) {
+			n.dirty[v] = true
+		}
+	}
+}
+
+// snapshot builds the fresh boundary snapshot for peer p. A new slice
 // every round: retries and injected duplicates of older rounds may
 // still be read concurrently by the receiver, so snapshots are never
 // reused.
-func (n *node) snapshot(q int) []HaloCell {
-	cells := n.sendCells[q]
-	out := make([]HaloCell, len(cells))
-	for i, v := range cells {
-		out[i] = HaloCell{V: v, Start: n.starts[n.regionIdx(v)]}
+func (n *node) snapshot(p peer) []HaloCell {
+	out := make([]HaloCell, len(p.cells))
+	for x, v := range p.cells {
+		out[x] = HaloCell{V: v, Start: n.val[p.offs[x]]}
 	}
 	return out
 }
@@ -221,7 +323,7 @@ func (n *node) handle(m Message) (ack Message, isAck bool) {
 	case MsgData:
 		if m.Seq > n.lastApplied[m.From] {
 			for _, c := range m.Cells {
-				n.halo[c.V] = c.Start
+				n.applyHalo(c)
 			}
 			n.lastApplied[m.From] = m.Seq
 			n.s.dm.HaloCells.Add(int64(len(m.Cells)))
@@ -256,9 +358,9 @@ type pendingSend struct {
 func (n *node) exchange(round int64) (failed []int) {
 	s := n.s
 	pending := make([]*pendingSend, 0, len(n.peers))
-	for _, q := range n.peers {
-		m := Message{Kind: MsgData, From: n.id, To: q, Seq: round,
-			Trace: s.tc.TraceID(), Span: s.tc.SpanID(), Cells: n.snapshot(q)}
+	for _, p := range n.peers {
+		m := Message{Kind: MsgData, From: n.id, To: p.id, Seq: round,
+			Trace: s.tc.TraceID(), Span: s.tc.SpanID(), Cells: n.snapshot(p)}
 		s.tr.Send(m)
 		s.dm.MsgsSent.Add(1)
 		pending = append(pending, &pendingSend{
@@ -349,8 +451,8 @@ func (n *node) run() {
 			n.s.reports <- report{node: n.id, round: c.round, changed: changed, failed: failed}
 		case ctrlGather:
 			starts := make([]int64, len(n.verts))
-			for i, v := range n.verts {
-				starts[i] = n.starts[n.regionIdx(v)]
+			for i, o := range n.offs {
+				starts[i] = n.val[o]
 			}
 			n.s.gather <- dump{verts: n.verts, starts: starts}
 		}

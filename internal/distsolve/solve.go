@@ -18,12 +18,13 @@ const (
 	// DefaultShards is the shard count when Config.Shards is unset.
 	DefaultShards = 4
 	// DefaultMaxRounds is the floor of the default round budget. The
-	// effective default is max(DefaultMaxRounds, gx+gy+gz): weight-order
-	// sweeps converge in a handful of rounds independent of size, but
-	// line order propagates boundary corrections as a wavefront whose
-	// round count grows with the grid extents (~0.4×Y empirically), so
-	// the budget must scale with the instance. The cap only bounds
-	// worst-case latency — the fallback computes the identical coloring.
+	// effective default is max(DefaultMaxRounds, gx+gy+gz). Fault-free
+	// solves need far fewer: line-order slabs are totally ordered, so k
+	// slabs certify within k+1 rounds, and weight-order sweeps converge
+	// in a handful independent of size. The headroom is for storms,
+	// where lost snapshots and re-homed shards cost extra rounds. The
+	// cap only bounds worst-case latency — the fallback computes the
+	// identical coloring.
 	DefaultMaxRounds = 32
 	// DefaultMaxRetries is the per-message retransmission budget.
 	DefaultMaxRetries = 6
@@ -40,17 +41,19 @@ const (
 // valid default configuration (4 shards, line order).
 type Config struct {
 	// Shards is the number of shards to split the grid into; <= 0 picks
-	// DefaultShards. The effective count may be lower when the grid has
-	// fewer cells along an axis than the per-axis factorization asks
-	// for.
+	// DefaultShards. The effective count may be lower: line order cuts
+	// only the slowest axis with more than one cell, so it gets at most
+	// that axis's extent, and weight order gets at most what the
+	// per-axis factorization fits into the axis sizes.
 	Shards int
 	// Order is the global visit order (parallel.OrderLine for GLL,
 	// parallel.OrderWeightDesc for GLF); shards sweep their region in
 	// this order restricted to the shard.
 	Order parallel.Order
 	// MaxRounds caps protocol rounds before the sequential fallback;
-	// <= 0 picks max(DefaultMaxRounds, sum of grid extents), which
-	// covers line order's size-dependent boundary wavefront.
+	// <= 0 picks max(DefaultMaxRounds, sum of grid extents), well above
+	// the shards+1 rounds a fault-free line-order solve needs, leaving
+	// storms room to recover before the fallback.
 	MaxRounds int
 	// MaxRetries caps per-message retransmissions; <= 0 picks
 	// DefaultMaxRetries.
@@ -107,7 +110,8 @@ type sim struct {
 
 // Solve colors s with the fault-tolerant distributed sharded solver:
 // the grid splits into cfg.Shards regions over rectpart's balanced
-// cuts, one simulated node per shard sweeps its region each round, and
+// cuts (slabs along the slowest axis for line order), one simulated
+// node per shard sweeps its region's dirty cells each round, and
 // boundaries reconcile through the message-passing halo exchange. The
 // returned coloring is always complete and valid, and — because the
 // protocol's fixpoint is pinned to the sequential greedy over the same
@@ -130,7 +134,7 @@ func Solve(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, 
 	if !ok || shards <= 1 {
 		return core.GreedyColorOpts(s, orderFor(s, cfg), opts)
 	}
-	boxes, gx, gy, gz, err := decompose(s, shards)
+	boxes, gx, gy, gz, err := decompose(s, shards, cfg.Order != parallel.OrderWeightDesc)
 	if err != nil || len(boxes) <= 1 {
 		// Undecomposable instances are not failures — they just have no
 		// distribution to exploit.

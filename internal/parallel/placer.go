@@ -12,10 +12,12 @@ import "stencilivc/internal/core"
 //
 // A placement is a Begin / Observe* / Commit sequence: Begin names the
 // vertex and exposes its neighbor list, the caller decides — under its
-// own visibility rule (atomic shared-memory reads for the tile solver,
-// halo-cache lookups for the sharded solver) — which neighbors to
-// Observe, and Commit dispatches the gathered occupancy to the kernel
-// ladder. A Placer is not safe for concurrent use; give each worker its
+// own visibility rule (atomic shared-memory reads for the tile solver)
+// — which neighbors to Observe, and Commit dispatches the gathered
+// occupancy to the kernel ladder. A caller that enumerates neighbors
+// itself starts with Clear instead of Begin: the sharded solver walks
+// fixed stencil offsets over its dense per-shard state, where a read is
+// an index. A Placer is not safe for concurrent use; give each worker its
 // own (the tile solver embeds one per scratch).
 type Placer struct {
 	g    core.FixedGraph
@@ -59,6 +61,10 @@ func (p *Placer) Begin(v int) []int {
 	deg := p.g.NeighborsFixed(v, &p.nb)
 	return p.nb[:deg]
 }
+
+// Clear starts a placement whose caller enumerates the neighbors
+// itself: it only clears the gathered occupancy.
+func (p *Placer) Clear() { p.m = 0 }
 
 // Observe records one neighbor's interval in the gathered occupancy.
 // Unset starts and non-positive weights are skipped — uncolored and
