@@ -32,7 +32,10 @@
 //   - a warm content-addressed cache hit on the large 2D instance
 //     (CacheHit — what the result cache saves on repeats),
 //   - the ordering kernel alone, the order phase of GLF/PGLF and of
-//     GKF/SGK/BDP (Order/WeightDesc2D, Order/Blocks3D).
+//     GKF/SGK/BDP (Order/WeightDesc2D, Order/Blocks3D),
+//   - the solve daemon's wire codec: decoding a POST /solve body and
+//     encoding its reply for 128^2 and 256^2 instances (Wire/Decode,
+//     Wire/Encode; DESIGN.md §13).
 package main
 
 import (
@@ -55,6 +58,7 @@ import (
 	"stencilivc/internal/core"
 	"stencilivc/internal/datasets"
 	"stencilivc/internal/grid"
+	"stencilivc/internal/service"
 )
 
 // Result is one benchmark row of the JSON report.
@@ -67,7 +71,8 @@ type Result struct {
 	MaxColor int64   `json:"maxcolor,omitempty"`
 	Par      int     `json:"par,omitempty"`
 	Speedup  float64 `json:"speedup,omitempty"`
-	// Elems is how many vertices or blocks an Order row orders per op.
+	// Elems is how many vertices or blocks an Order row orders per op,
+	// or how many weights or starts a Wire row decodes or encodes.
 	Elems int `json:"n,omitempty"`
 	// Rounds and MsgsSent are a DistSolve row's work counters: protocol
 	// rounds to the certified fixpoint and first-send halo messages, per
@@ -103,20 +108,20 @@ type LatencySummary struct {
 
 // Report is the top-level JSON document.
 type Report struct {
-	GeneratedUnix int64  `json:"generated_unix"`
-	Started       string `json:"started,omitempty"`
-	WallSeconds   float64 `json:"wall_seconds,omitempty"`
-	GoVersion     string `json:"go_version"`
-	GOOS          string `json:"goos"`
-	GOARCH        string `json:"goarch"`
-	NumCPU        int    `json:"num_cpu"`
-	GOMAXPROCS    int    `json:"gomaxprocs"`
-	Quick         bool   `json:"quick"`
+	GeneratedUnix int64    `json:"generated_unix"`
+	Started       string   `json:"started,omitempty"`
+	WallSeconds   float64  `json:"wall_seconds,omitempty"`
+	GoVersion     string   `json:"go_version"`
+	GOOS          string   `json:"goos"`
+	GOARCH        string   `json:"goarch"`
+	NumCPU        int      `json:"num_cpu"`
+	GOMAXPROCS    int      `json:"gomaxprocs"`
+	Quick         bool     `json:"quick"`
 	Git           *GitInfo `json:"git,omitempty"`
 	// Runtime summarizes what the runtime sampler saw across the whole
 	// run: GC pauses, scheduler latencies, heap and goroutine peaks —
 	// the measurement conditions behind the numbers.
-	Runtime     *stencilivc.RuntimeSummary `json:"runtime,omitempty"`
+	Runtime *stencilivc.RuntimeSummary `json:"runtime,omitempty"`
 	// SolveLatency summarizes the solve_seconds histogram over the whole
 	// run (present with -metrics, which arms the solver metrics bundle).
 	SolveLatency *LatencySummary `json:"solve_latency,omitempty"`
@@ -246,7 +251,10 @@ func run() error {
 		if err := benchCacheHit(ctx, rep, size2, sm); err != nil {
 			return err
 		}
-		return benchOrder(ctx, rep)
+		if err := benchOrder(ctx, rep); err != nil {
+			return err
+		}
+		return benchWire(ctx, rep)
 	}()
 	if errors.Is(err, errInterrupted) {
 		rep.Interrupted = true
@@ -785,4 +793,57 @@ func benchParallel(ctx context.Context, rep *Report, size2, size3 int, seed int6
 	}
 	note("scaling 3D: %dx%dx%d (%d vertices)", size3, size3, size3, g3.Len())
 	return bench(fmt.Sprintf("Parallel3D/%dx%dx%d", size3, size3, size3), g3)
+}
+
+// benchWire measures the solve daemon's wire codec on the request and
+// reply of an n×n GLL job, for n = 128 and 256: Wire/Decode/<n> decodes
+// the body perfbench sends (weights 0..99), Wire/Encode/<n> appends the
+// indented reply carrying the solved coloring's starts. Both rows
+// record bytes and allocs per op beside ns.
+func benchWire(ctx context.Context, rep *Report) error {
+	for _, n := range []int{128, 256} {
+		if err := checkpoint(ctx); err != nil {
+			return err
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		g := grid.MustGrid2D(n, n)
+		for v := range g.W {
+			g.W[v] = rng.Int63n(100)
+		}
+		body, err := json.Marshal(service.Request{Tenant: "t0", Alg: "GLL", X: n, Y: n, Weights: g.W})
+		if err != nil {
+			return err
+		}
+		var decErr error
+		br := measure(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := service.DecodeRequest(body); err != nil {
+					decErr = err
+					b.FailNow()
+				}
+			}
+		})
+		if decErr != nil {
+			return decErr
+		}
+		record(rep, fmt.Sprintf("Wire/Decode/%d", n), br).Elems = g.Len()
+
+		c, err := stencilivc.Solve(stencilivc.GLL, g, nil)
+		if err != nil {
+			return err
+		}
+		res := service.Result{
+			ID: "job-17", Tenant: "t0", Status: service.StatusDone, Alg: "GLL",
+			MaxColor: c.MaxColor(g), Starts: c.Start,
+			QueueMS: 0.412, WallMS: 3.071, TraceID: "00c0ffee00c0ffee",
+		}
+		var buf []byte
+		br = measure(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				buf, _ = service.AppendResult(buf[:0], &res)
+			}
+		})
+		record(rep, fmt.Sprintf("Wire/Encode/%d", n), br).Elems = g.Len()
+	}
+	return nil
 }

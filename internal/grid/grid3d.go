@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stencilivc/internal/core"
 )
@@ -28,20 +29,29 @@ var _ core.Graph = (*Grid3D)(nil)
 // up to math.MaxInt error out instead of wrapping into a corrupt index
 // space.
 func NewGrid3D(x, y, z int) (*Grid3D, error) {
-	if x < 1 || y < 1 || z < 1 {
-		return nil, fmt.Errorf("grid: invalid 3D dimensions %dx%dx%d", x, y, z)
-	}
-	if x > 1<<16 || y > 1<<16 || z > 1<<16 {
-		return nil, fmt.Errorf("grid: 3D dimensions %dx%dx%d too large", x, y, z)
-	}
-	cells, err := checkedCells(x, y, z)
+	cells, err := cells3D(x, y, z)
 	if err != nil {
 		return nil, err
 	}
-	if cells > 1<<27 {
-		return nil, fmt.Errorf("grid: 3D dimensions %dx%dx%d too large", x, y, z)
-	}
 	return &Grid3D{X: x, Y: y, Z: z, W: make([]int64, cells)}, nil
+}
+
+// cells3D validates X×Y×Z dimensions and returns the cell count.
+func cells3D(x, y, z int) (int, error) {
+	if x < 1 || y < 1 || z < 1 {
+		return 0, fmt.Errorf("grid: invalid 3D dimensions %dx%dx%d", x, y, z)
+	}
+	if x > 1<<16 || y > 1<<16 || z > 1<<16 {
+		return 0, fmt.Errorf("grid: 3D dimensions %dx%dx%d too large", x, y, z)
+	}
+	cells, err := checkedCells(x, y, z)
+	if err != nil {
+		return 0, err
+	}
+	if cells > 1<<27 {
+		return 0, fmt.Errorf("grid: 3D dimensions %dx%dx%d too large", x, y, z)
+	}
+	return cells, nil
 }
 
 // MustGrid3D is NewGrid3D that panics on error.
@@ -56,20 +66,19 @@ func MustGrid3D(x, y, z int) *Grid3D {
 // FromWeights3D builds a grid from an x-fastest weight slice. The slice is
 // copied.
 func FromWeights3D(x, y, z int, weights []int64) (*Grid3D, error) {
-	g, err := NewGrid3D(x, y, z)
+	// As in FromWeights2D, the count is checked before allocating.
+	cells, err := cells3D(x, y, z)
 	if err != nil {
 		return nil, err
 	}
-	if len(weights) != x*y*z {
-		return nil, fmt.Errorf("grid: want %d weights, got %d", x*y*z, len(weights))
+	if len(weights) != cells {
+		return nil, fmt.Errorf("grid: want %d weights, got %d", cells, len(weights))
 	}
 	total, err := checkWeights(weights)
 	if err != nil {
 		return nil, err
 	}
-	copy(g.W, weights)
-	g.total = total
-	return g, nil
+	return &Grid3D{X: x, Y: y, Z: z, W: slices.Clone(weights), total: total}, nil
 }
 
 // Len returns the number of vertices X*Y*Z.

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -111,4 +112,23 @@ func mustPanic(t *testing.T, name string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestFromWeightsRefusesShortSliceWithoutAllocating: a weight slice far
+// shorter than the dimensions it names is refused before the grid is
+// allocated, so a few-byte request cannot make the caller reserve the
+// largest accepted grid (2 GiB in 2D, 1 GiB in 3D).
+func TestFromWeightsRefusesShortSliceWithoutAllocating(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := FromWeights2D(1<<14, 1<<14, []int64{1}); err == nil {
+		t.Error("FromWeights2D(2^14, 2^14) accepted one weight")
+	}
+	if _, err := FromWeights3D(1<<9, 1<<9, 1<<9, []int64{1}); err == nil {
+		t.Error("FromWeights3D(2^9, 2^9, 2^9) accepted one weight")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing two one-weight slices allocated %d bytes", grew)
+	}
 }

@@ -6,6 +6,9 @@
 //     (synchronous by default, async with {"async": true}), GET
 //     /jobs/{id} polls one, GET /healthz reports queue and per-tenant
 //     state, and /metrics serves the Prometheus registry next to it.
+//     Job bodies and results cross the wire through a one-pass codec
+//     (DecodeRequest, AppendResult) held byte-identical to
+//     encoding/json.
 //   - The queue/batcher coalesces compatible small requests — same
 //     tenant, algorithm, and dimensionality — into batches behind size
 //     and max-wait triggers, recording per-item enqueue/flush

@@ -443,6 +443,84 @@ func TestServiceQueueBoundSheds(t *testing.T) {
 	}
 }
 
+// TestServiceShedJobsRetired sheds more than JobRetention jobs at
+// admission: the job map stays bounded, a shed job no longer holds its
+// instance, and GET /jobs/{id} still answers for the recent sheds.
+func TestServiceShedJobsRetired(t *testing.T) {
+	const retention = 4
+	// A long BatchWait parks the first job in the batcher, holding the
+	// tenant's only queue slot, so every later admission sheds.
+	srv, ts := newTestService(t, Config{
+		Workers: 1, MaxQueuedPerTenant: 1, BatchWait: time.Minute, JobRetention: retention,
+	})
+	req := Request{Alg: "GLL", X: 4, Y: 4, Weights: gridWeights(4), Async: true}
+	if code, res := postSolve(t, ts.URL, req); code != http.StatusAccepted {
+		t.Fatalf("first job: status %d/%q, want 202 queued", code, res.Status)
+	}
+	var sheds []string
+	for i := 0; i < 3*retention; i++ {
+		code, res := postSolve(t, ts.URL, req)
+		if code != http.StatusServiceUnavailable || res.Status != StatusShed {
+			t.Fatalf("submission %d: status %d/%q, want 503 shed", i, code, res.Status)
+		}
+		sheds = append(sheds, res.ID)
+	}
+	srv.jobsMu.Lock()
+	n := len(srv.jobs)
+	srv.jobsMu.Unlock()
+	if n > retention+1 {
+		t.Fatalf("%d jobs registered after %d sheds, want <= %d (retention + the queued job)", n, len(sheds), retention+1)
+	}
+	for _, id := range sheds[len(sheds)-retention:] {
+		if ok, s := retiredStencil(srv, id); !ok || s != nil {
+			t.Errorf("shed job %s: retired=%v, instance still held=%v", id, ok, s != nil)
+		}
+		if code, res := pollJob(t, ts.URL, id); code != http.StatusServiceUnavailable || res.Status != StatusShed {
+			t.Errorf("GET /jobs/%s: status %d/%q, want 503 shed", id, code, res.Status)
+		}
+	}
+}
+
+// TestServiceRetiredJobDropsInstance checks that a finished job stops
+// pinning its instance while GET /jobs/{id} still serves its coloring.
+func TestServiceRetiredJobDropsInstance(t *testing.T) {
+	srv, ts := newTestService(t, Config{Workers: 1})
+	code, res := postSolve(t, ts.URL, Request{Alg: "GLL", X: 4, Y: 4, Weights: gridWeights(4)})
+	if code != http.StatusOK {
+		t.Fatalf("solve: status %d/%q (%s)", code, res.Status, res.Error)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ok, s := retiredStencil(srv, res.ID)
+		if ok {
+			if s != nil {
+				t.Fatal("retired job still holds its instance")
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never retired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code, got := pollJob(t, ts.URL, res.ID); code != http.StatusOK || len(got.Starts) != 16 {
+		t.Fatalf("GET /jobs/%s: status %d, %d starts, want 200 with 16", res.ID, code, len(got.Starts))
+	}
+}
+
+// retiredStencil reports whether job id is retired and, if so, the
+// instance it still holds.
+func retiredStencil(srv *Server, id string) (bool, grid.Stencil) {
+	srv.jobsMu.Lock()
+	defer srv.jobsMu.Unlock()
+	for _, d := range srv.doneOrder {
+		if d == id {
+			return true, srv.jobs[id].stencil
+		}
+	}
+	return false, nil
+}
+
 // TestServiceHTTPValidation covers the transport's error mapping.
 func TestServiceHTTPValidation(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1})

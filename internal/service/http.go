@@ -33,7 +33,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status; a Result goes through
+// writeResult, which writes the same bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -67,13 +68,11 @@ func statusCode(res Result) int {
 }
 
 // handleSolve is POST /solve: decode, admit, and either wait for the
-// result (sync) or return 202 with the job id (async).
+// result (sync) or return 202 with the job id (async). Both the body
+// and the reply go through the wire codec (wire.go).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -84,16 +83,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Async {
 		snap := j.snapshot()
-		writeJSON(w, statusCode(snap), snap)
+		writeResult(w, statusCode(snap), snap)
 		return
 	}
 	select {
 	case <-j.done:
 		snap := j.snapshot()
-		writeJSON(w, statusCode(snap), snap)
+		writeResult(w, statusCode(snap), snap)
 	case <-r.Context().Done():
 		// The client went away; the job keeps running and stays pollable.
-		writeJSON(w, http.StatusAccepted, j.snapshot())
+		writeResult(w, http.StatusAccepted, j.snapshot())
 	}
 }
 
@@ -106,7 +105,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := j.snapshot()
-	writeJSON(w, statusCode(snap), snap)
+	writeResult(w, statusCode(snap), snap)
 }
 
 // healthz is the GET /healthz body.

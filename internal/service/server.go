@@ -287,10 +287,10 @@ func (s *Server) Submit(req *Request) (*job, error) {
 	return j, nil
 }
 
-// shed finishes j as refused by the overload policy. When counted is
-// false the scheduler has not accounted the shed yet (the job never
-// held a queue slot), so the tenant's lifetime shed counter is bumped
-// here.
+// shed finishes and retires j as refused by the overload policy at
+// admission. When counted is false the scheduler has not accounted the
+// shed yet (the job never held a queue slot), so the tenant's lifetime
+// shed counter is bumped here.
 func (s *Server) shed(j *job, reason string, counted bool) {
 	if !counted {
 		s.sched.shedStats(j.tenant)
@@ -299,10 +299,11 @@ func (s *Server) shed(j *job, reason string, counted bool) {
 	s.flight.Incident(j.tc.TraceID(), "shed: "+reason)
 	s.cfg.Events.ServiceShed(j.tenant, j.id, reason)
 	j.finish(Result{Status: StatusShed, Error: reason})
+	s.retire(j)
 }
 
-// remember registers j for GET /jobs/{id}, pruning the oldest finished
-// jobs past the retention bound.
+// remember registers j for GET /jobs/{id}; retire bounds how many
+// finished jobs stay registered.
 func (s *Server) remember(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
@@ -318,10 +319,14 @@ func (s *Server) lookup(id string) (*job, bool) {
 }
 
 // retire marks j finished for retention accounting and prunes the
-// oldest finished jobs beyond the configured bound.
+// oldest finished jobs beyond the configured bound. It drops the job's
+// instance: GET /jobs/{id} needs only the Result, and a retained job
+// would otherwise pin its weights. Every stage that reads the stencil
+// (batcher, scheduler, solve) is behind j by then.
 func (s *Server) retire(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
+	j.stencil = nil
 	s.doneOrder = append(s.doneOrder, j.id)
 	for len(s.doneOrder) > s.cfg.JobRetention {
 		delete(s.jobs, s.doneOrder[0])
