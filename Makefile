@@ -91,7 +91,7 @@ serve-smoke:
 
 # trace-check is the request-tracing tier (DESIGN.md §17): it boots the
 # daemon, submits one 9-pt job, and asserts the complete span tree —
-# admission → batch → schedule → solve — comes back from /debug/flight
+# admission → schedule → solve — comes back from /debug/flight
 # by job id, plus a live /healthz p50 for the tenant. The in-process
 # half of the tier (flight span tree + stormed sharded solve under
 # -race, and the disabled-path 0-alloc pins) rides along.

@@ -7,7 +7,7 @@
 //
 // With -flight it instead runs the request-tracing smoke behind `make
 // trace-check`: submit one 9-pt job, then assert its complete span tree
-// — admission → batch → schedule → solve — comes back from
+// — admission → schedule → solve — comes back from
 // GET /debug/flight by job id and that the tenant's /healthz p50 is
 // live.
 //
@@ -258,7 +258,7 @@ func checkFlight(base string) error {
 	if !ok || adm.parent != "" {
 		return fmt.Errorf("debug/flight: no root admission span (spans: %v)", spans)
 	}
-	for _, stage := range []string{"batch", "schedule", "solve"} {
+	for _, stage := range []string{"schedule", "solve"} {
 		sp, ok := spans[stage]
 		if !ok {
 			return fmt.Errorf("debug/flight: %s span missing from job %s's tree", stage, res.ID)
@@ -313,9 +313,7 @@ func checkMetrics(base string) error {
 		"service_queue_depth",
 		"service_workers_busy",
 		"service_batch_size",
-		"service_batch_wait_seconds",
 		"service_request_seconds",
-		"service_batches_total",
 		"service_tenant_admitted_total",
 		"service_tenant_shed_total",
 		"service_latency_queue_seconds",

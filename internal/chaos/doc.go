@@ -23,9 +23,8 @@
 //	pgreedy/worker-panic     tile-parallel solver; per tile task and repair batch: induced panic, contained to a sequential fallback
 //	pgreedy/halo-read        tile-parallel solver; per speculative placement: placement goes blind to cross-tile neighbors
 //	pgreedy/repair-drop      tile-parallel solver; per repaired loser: the recolor is dropped for the next fixpoint round to catch
-//	service/enqueue-drop     solve service; per admission: the job is shed between admission and the batcher
-//	service/batch-stall      solve service; per batch: the batcher stalls inside Inject
-//	service/worker-panic     solve service; per job run: induced panic, contained to a typed job error
+//	service/enqueue-drop     solve service; per admission: the job is shed between admission and the scheduler
+//	service/worker-panic     solve service; per job run: induced panic, contained to a typed job error, or a worker stall
 //	resultcache/get-corrupt  result cache; per persistence-tier read: the payload is treated as checksum-failed
 //	distsolve/msg-drop       distributed solver transport; per send: the message is silently lost
 //	distsolve/msg-dup        distributed solver transport; per send: the message is delivered twice

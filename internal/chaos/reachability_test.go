@@ -28,8 +28,8 @@ import (
 // never drift into documenting dead injection points.
 func TestEveryRegisteredSiteIsReachable(t *testing.T) {
 	sites := core.FaultSites()
-	if len(sites) < 12 {
-		t.Fatalf("registry lists %d sites, expected at least the 12 documented ones", len(sites))
+	if len(sites) < 11 {
+		t.Fatalf("registry lists %d sites, expected at least the 11 documented ones", len(sites))
 	}
 	inj := chaos.New(1)
 	for _, rs := range sites {
@@ -79,8 +79,8 @@ func TestEveryRegisteredSiteIsReachable(t *testing.T) {
 		t.Fatal("persisted entry did not round-trip through the second cache")
 	}
 
-	// service/*: one solve request passes admission (enqueue-drop), the
-	// batcher (batch-stall), and a worker (worker-panic).
+	// service/*: one solve request passes admission (enqueue-drop) and a
+	// scheduler worker (worker-panic).
 	srv, err := service.New(service.Config{Workers: 1, Injector: inj})
 	if err != nil {
 		t.Fatal(err)

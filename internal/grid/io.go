@@ -74,23 +74,18 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		if err1 != nil || err2 != nil {
 			return nil, nil, fmt.Errorf("grid: bad ivc2d dimensions %q %q", header[1], header[2])
 		}
-		// Validate dimensions BEFORE sizing the weight buffer: a hostile
-		// header must not drive a huge allocation.
-		g, err := NewGrid2D(x, y)
+		// Validate the dimensions, then read and count the weights before
+		// anything is sized by the header: a hostile header must not
+		// drive a huge allocation.
+		cells, err := cells2D(x, y)
 		if err != nil {
 			return nil, nil, err
 		}
-		weights, err := readWeights(sc, x*y)
+		weights, total, err := readWeights(sc, cells)
 		if err != nil {
 			return nil, nil, err
 		}
-		for i, w := range weights {
-			if w < 0 {
-				return nil, nil, fmt.Errorf("grid: negative weight %d", w)
-			}
-			g.W[i] = w
-		}
-		return g, nil, nil
+		return &Grid2D{X: x, Y: y, W: weights, total: total}, nil, nil
 	case "ivc3d":
 		if len(header) != 4 {
 			return nil, nil, fmt.Errorf("grid: ivc3d header wants 3 dims, got %d", len(header)-1)
@@ -101,21 +96,15 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, nil, fmt.Errorf("grid: bad ivc3d dimensions")
 		}
-		g, err := NewGrid3D(x, y, z)
+		cells, err := cells3D(x, y, z)
 		if err != nil {
 			return nil, nil, err
 		}
-		weights, err := readWeights(sc, x*y*z)
+		weights, total, err := readWeights(sc, cells)
 		if err != nil {
 			return nil, nil, err
 		}
-		for i, w := range weights {
-			if w < 0 {
-				return nil, nil, fmt.Errorf("grid: negative weight %d", w)
-			}
-			g.W[i] = w
-		}
-		return nil, g, nil
+		return nil, &Grid3D{X: x, Y: y, Z: z, W: weights, total: total}, nil
 	default:
 		return nil, nil, fmt.Errorf("grid: unknown header %q", header[0])
 	}
@@ -138,26 +127,33 @@ func nextTokens(sc *bufio.Scanner) ([]string, error) {
 	return nil, io.ErrUnexpectedEOF
 }
 
-func readWeights(sc *bufio.Scanner, n int) ([]int64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("grid: negative cell count")
-	}
-	weights := make([]int64, 0, n)
+// readWeights reads exactly n weights (n already validated by the
+// header's dimension checks) and returns them with their total.
+func readWeights(sc *bufio.Scanner, n int) ([]int64, int64, error) {
+	// The buffer grows with the weights actually read: n comes from the
+	// header, which alone must not size an allocation.
+	weights := make([]int64, 0, min(n, 4096))
 	for len(weights) < n {
 		fields, err := nextTokens(sc)
 		if err != nil {
-			return nil, fmt.Errorf("grid: want %d weights, got %d: %w", n, len(weights), err)
+			return nil, 0, fmt.Errorf("grid: want %d weights, got %d: %w", n, len(weights), err)
 		}
 		for _, f := range fields {
 			w, err := strconv.ParseInt(f, 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("grid: bad weight %q: %w", f, err)
+				return nil, 0, fmt.Errorf("grid: bad weight %q: %w", f, err)
 			}
 			weights = append(weights, w)
 			if len(weights) > n {
-				return nil, fmt.Errorf("grid: more than %d weights", n)
+				return nil, 0, fmt.Errorf("grid: more than %d weights", n)
 			}
 		}
 	}
-	return weights, nil
+	// The same checks as FromWeights2D/3D: no negative weight, and a
+	// total that fits in int64.
+	total, err := checkWeights(weights)
+	if err != nil {
+		return nil, 0, err
+	}
+	return weights, total, nil
 }

@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -67,7 +68,8 @@ func TestCheckedCells(t *testing.T) {
 }
 
 // TestFromWeightsTotalOverflow: weight sets whose sum would wrap int64
-// are rejected so solver interval ends stay representable.
+// are rejected so solver interval ends stay representable, whether they
+// arrive as a slice or as instance text.
 func TestFromWeightsTotalOverflow(t *testing.T) {
 	if _, err := FromWeights2D(2, 1, []int64{math.MaxInt64, 1}); err == nil {
 		t.Error("2D total-weight overflow accepted")
@@ -80,6 +82,19 @@ func TestFromWeightsTotalOverflow(t *testing.T) {
 	}
 	if _, err := FromWeights3D(1, 1, 2, []int64{math.MaxInt64 - 1, 1}); err != nil {
 		t.Errorf("3D total exactly MaxInt64 rejected: %v", err)
+	}
+	if _, _, err := Read(strings.NewReader("ivc2d 2 1\n9223372036854775807 1\n")); err == nil {
+		t.Error("Read accepted a 2D total-weight overflow")
+	}
+	if _, _, err := Read(strings.NewReader("ivc3d 1 1 2\n9223372036854775807 1\n")); err == nil {
+		t.Error("Read accepted a 3D total-weight overflow")
+	}
+	g, _, err := Read(strings.NewReader("ivc2d 2 1\n9223372036854775806 1\n"))
+	if err != nil {
+		t.Fatalf("Read of a total exactly MaxInt64 rejected: %v", err)
+	}
+	if g.total != math.MaxInt64 {
+		t.Errorf("Read cached total %d, want MaxInt64", g.total)
 	}
 }
 
@@ -130,5 +145,24 @@ func TestFromWeightsRefusesShortSliceWithoutAllocating(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("refusing two one-weight slices allocated %d bytes", grew)
+	}
+}
+
+// TestReadRefusesHugeHeaderWithoutAllocating: an instance text whose
+// header names a huge grid but which carries one weight is refused
+// after counting its weights, before anything sized by the header is
+// allocated — so a few bytes of "instance" cannot make a server reserve
+// the largest accepted grid.
+func TestReadRefusesHugeHeaderWithoutAllocating(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, body := range []string{"ivc2d 4096 4096\n1\n", "ivc2d 16384 16384\n1\n", "ivc3d 512 512 512\n1\n"} {
+		if _, _, err := Read(strings.NewReader(body)); err == nil {
+			t.Errorf("Read(%q) accepted one weight", body)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing three one-weight instances allocated %d bytes", grew)
 	}
 }

@@ -203,19 +203,6 @@ func (e *EventSink) ServiceShed(tenant, id, reason string) {
 		slog.String("reason", reason))
 }
 
-// ServiceBatch records one batch flush from the coalescing batcher to
-// the scheduler: the batch key, its size, and how long the oldest job
-// in it waited between enqueue and flush.
-func (e *EventSink) ServiceBatch(key string, size int, wait time.Duration) {
-	if e == nil {
-		return
-	}
-	e.log("service.batch",
-		slog.String("key", key),
-		slog.Int("size", size),
-		slog.Duration("wait", wait))
-}
-
 // ServiceDone records the completion of one solve job: maxcolor and the
 // end-to-end wall time from admission, plus whether the result was a
 // best-so-far partial under the shedding policy.

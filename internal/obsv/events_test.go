@@ -47,14 +47,13 @@ func TestEventSinkJSON(t *testing.T) {
 	e.Dropped("SGK", errors.New("panicked"))
 	e.ServiceAdmit("team-a", "job-1", 3)
 	e.ServiceShed("team-b", "job-2", "queue full")
-	e.ServiceBatch("team-a|GLL|2", 4, 2*time.Millisecond)
 	e.ServiceDone("team-a", "job-1", 17, 5*time.Millisecond, true)
 	e.Event("custom", slog.Int("k", 1))
 
 	msgs, objs := decodeEvents(t, &buf)
 	want := []string{"solve.start", "solve.finish", "solve.error", "pgreedy.speculate",
 		"pgreedy.repair", "solve.fallback", "fault.injected", "solve.partial",
-		"portfolio.drop", "service.admit", "service.shed", "service.batch",
+		"portfolio.drop", "service.admit", "service.shed",
 		"service.done", "custom"}
 	if len(msgs) != len(want) {
 		t.Fatalf("got %d events %v, want %d", len(msgs), msgs, len(want))
@@ -88,11 +87,8 @@ func TestEventSinkJSON(t *testing.T) {
 	if objs[10]["reason"] != "queue full" {
 		t.Errorf("service.shed attrs = %v", objs[10])
 	}
-	if objs[11]["key"] != "team-a|GLL|2" || objs[11]["size"] != float64(4) {
-		t.Errorf("service.batch attrs = %v", objs[11])
-	}
-	if objs[12]["partial"] != true || objs[12]["maxcolor"] != float64(17) {
-		t.Errorf("service.done attrs = %v", objs[12])
+	if objs[11]["partial"] != true || objs[11]["maxcolor"] != float64(17) {
+		t.Errorf("service.done attrs = %v", objs[11])
 	}
 }
 
@@ -126,7 +122,6 @@ func TestEventSinkNilAllocs(t *testing.T) {
 		e.Dropped("BD", err)
 		e.ServiceAdmit("t", "j", 1)
 		e.ServiceShed("t", "j", "r")
-		e.ServiceBatch("k", 1, time.Millisecond)
 		e.ServiceDone("t", "j", 1, time.Millisecond, false)
 		if e.Emitted() != 0 {
 			t.Fatal("nil sink emitted")

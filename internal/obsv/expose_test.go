@@ -40,8 +40,8 @@ func fixtureRegistry() *Registry {
 	// strings, and bucket layouts.
 	NewSampler(r, time.Millisecond)
 	// The solve-service families, likewise zero-valued: the golden file
-	// pins the queue-depth gauge, batch-size and wait histograms, and the
-	// tenant admit/shed counters the daemon exposes.
+	// pins the queue-depth gauge, the dispatch-size and request-latency
+	// histograms, and the tenant admit/shed counters the daemon exposes.
 	NewServiceMetrics(r)
 	// The result-cache families, so the resultcache_* names and help
 	// strings EXPERIMENTS.md references stay pinned.

@@ -375,8 +375,8 @@ func (tc *TraceContext) Event(name, detail string, arg int64) {
 	})
 }
 
-// Observe records an already-completed span retroactively — the batcher
-// stamping a "batch" span over a job's coalescing wait after the fact,
+// Observe records an already-completed span retroactively — a worker
+// stamping the "schedule" span over a job's queue wait at dispatch,
 // without holding an open span across queue hops.
 func (tc *TraceContext) Observe(name string, start time.Time, wall time.Duration) {
 	if tc == nil {

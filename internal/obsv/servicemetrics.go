@@ -2,30 +2,25 @@ package obsv
 
 // ServiceMetrics bundles the solve-service metric taxonomy: the
 // counters, gauges, and histograms the internal/service daemon layers —
-// transport admission, the coalescing batcher, and the multi-tenant
-// scheduler — feed. It mirrors the SolveMetrics contract: carried by
-// whoever owns the service, and a nil *ServiceMetrics disables all of
-// them (every field method is nil-receiver-safe, so the service records
-// unconditionally).
+// transport admission and the multi-tenant scheduler — feed. It mirrors
+// the SolveMetrics contract: carried by whoever owns the service, and a
+// nil *ServiceMetrics disables all of them (every field method is
+// nil-receiver-safe, so the service records unconditionally).
 type ServiceMetrics struct {
 	// QueueDepth is the number of admitted solve jobs waiting to be
 	// dispatched to a worker, across all tenants — service_queue_depth.
 	QueueDepth *Gauge
 	// WorkersBusy is the number of scheduler workers currently running a
-	// batch — service_workers_busy.
+	// job — service_workers_busy.
 	WorkersBusy *Gauge
-	// BatchSize is the distribution of coalesced batch sizes at flush —
-	// service_batch_size.
-	BatchSize *Histogram
-	// BatchWaitSeconds is the per-job distribution of enqueue-to-flush
-	// wait inside the batcher — service_batch_wait_seconds.
-	BatchWaitSeconds *Histogram
+	// DispatchSize is the number of jobs per worker dispatch, always 1:
+	// the scheduler dispatches single jobs. It keeps the family name
+	// service_batch_size, because perfbench's traced run reads its
+	// _sum/_count as service.batch_size.mean.
+	DispatchSize *Histogram
 	// RequestSeconds is the end-to-end admission-to-completion latency
 	// per job — service_request_seconds.
 	RequestSeconds *Histogram
-	// Batches counts batches flushed to the scheduler —
-	// service_batches_total.
-	Batches *Counter
 	// Admitted counts solve jobs admitted past the per-tenant queue
 	// bound, summed over tenants — service_tenant_admitted_total.
 	Admitted *Counter
@@ -43,20 +38,13 @@ func NewServiceMetrics(r *Registry) *ServiceMetrics {
 		QueueDepth: r.Gauge("service_queue_depth",
 			"Admitted solve jobs waiting for a scheduler worker, across all tenants."),
 		WorkersBusy: r.Gauge("service_workers_busy",
-			"Scheduler workers currently running a batch."),
-		// The batcher flushes at its size trigger, so batch sizes live in
-		// [1, max batch]; powers of two up to 32 cover the useful range.
-		BatchSize: r.Histogram("service_batch_size",
-			"Coalesced batch size at flush.",
-			[]float64{1, 2, 4, 8, 16, 32}),
-		BatchWaitSeconds: r.Histogram("service_batch_wait_seconds",
-			"Per-job wait between enqueue and batch flush, in seconds.",
-			ExponentialBuckets(0.0001, 4, 8)),
+			"Scheduler workers currently running a job."),
+		DispatchSize: r.Histogram("service_batch_size",
+			"Jobs per scheduler dispatch (always 1: jobs are dispatched singly).",
+			[]float64{1}),
 		RequestSeconds: r.Histogram("service_request_seconds",
 			"End-to-end latency from admission to job completion, in seconds.",
 			ExponentialBuckets(0.0001, 4, 10)),
-		Batches: r.Counter("service_batches_total",
-			"Batches flushed from the coalescing batcher to the scheduler."),
 		Admitted: r.Counter("service_tenant_admitted_total",
 			"Solve jobs admitted past the per-tenant queue bound, summed over tenants."),
 		Shed: r.Counter("service_tenant_shed_total",

@@ -126,7 +126,9 @@ func decodeEntry(data []byte) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	if n < 0 || int64(len(r)) != n*8 {
+	// Bound n by the bytes left before multiplying: a hostile count such
+	// as 1<<61 would otherwise wrap n*8 to a matching length.
+	if n < 0 || n > int64(len(r))/8 || int64(len(r)) != n*8 {
 		return Entry{}, fmt.Errorf("%w: starts framing (%d declared, %d bytes left)", ErrCorrupt, n, len(r))
 	}
 	e.Starts = make([]int64, n)

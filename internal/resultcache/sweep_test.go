@@ -1,6 +1,9 @@
 package resultcache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -172,4 +175,82 @@ func TestSweepCombined(t *testing.T) {
 			t.Errorf("key %d: present=%v, want %v", i, ok, want)
 		}
 	}
+}
+
+// TestSweepReclaimsOverflowingStartsCount: a checksummed entry whose
+// starts count is 1<<61 (so n*8 wraps to the 0 bytes that follow) must
+// decode as ErrCorrupt and be reclaimed at open, not panic the sweep in
+// make.
+func TestSweepReclaimsOverflowingStartsCount(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	putAt(t, fs, testKey(1), now.Unix(), now)
+	path := filepath.Join(dir, testKey(1).String()+entrySuffix)
+	if err := os.WriteFile(path, sealEntry(overflowingStartsBody()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fs.Get(testKey(1)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of the crafted entry: err %v, want ErrCorrupt", err)
+	}
+
+	fs2, err := OpenFileStoreSwept(dir, SweepPolicy{TTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fs2.SweepReport(); got.Corrupt != 1 {
+		t.Fatalf("sweep report = %+v, want 1 corrupt", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("crafted entry file still on disk after sweep")
+	}
+}
+
+// overflowingStartsBody is an entry body (no checksum) that declares
+// 1<<61 starts and carries none.
+func overflowingStartsBody() []byte {
+	var b bytes.Buffer
+	b.Write(entryMagic)
+	putString(&b, "GLL")
+	putString(&b, "")
+	putI64(&b, 1)
+	putI64(&b, 1)
+	putI64(&b, 1)
+	putI64(&b, 1<<61)
+	return b.Bytes()
+}
+
+// sealEntry appends the trailing SHA-256 an encoded entry carries, so a
+// crafted body gets past the checksum to the framing checks.
+func sealEntry(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append(bytes.Clone(body), sum[:]...)
+}
+
+// FuzzDecodeEntry feeds checksummed bodies to the persisted-entry
+// decoder: it must never panic, every rejection must wrap ErrCorrupt,
+// and an accepted entry must re-encode to exactly the bytes it came
+// from.
+func FuzzDecodeEntry(f *testing.F) {
+	valid := encodeEntry(testEntry())
+	f.Add(valid[:len(valid)-sha256.Size])
+	f.Add(overflowingStartsBody())
+	f.Add(entryMagic)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := sealEntry(body)
+		e, err := decodeEntry(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		if got := encodeEntry(e); !bytes.Equal(got, data) {
+			t.Fatalf("accepted entry re-encodes to %x, want %x", got, data)
+		}
+	})
 }

@@ -1,6 +1,6 @@
 // Package service is the solve daemon: it turns the batch solver
 // pipeline into a long-running, multi-tenant HTTP service, layered
-// strictly as transport → queue/batcher → scheduler → solver.
+// strictly as transport → fair scheduler → solver.
 //
 //   - The transport is an HTTP/JSON job API: POST /solve admits a job
 //     (synchronous by default, async with {"async": true}), GET
@@ -9,14 +9,13 @@
 //     Job bodies and results cross the wire through a one-pass codec
 //     (DecodeRequest, AppendResult) held byte-identical to
 //     encoding/json.
-//   - The queue/batcher coalesces compatible small requests — same
-//     tenant, algorithm, and dimensionality — into batches behind size
-//     and max-wait triggers, recording per-item enqueue/flush
-//     timestamps.
-//   - The scheduler is a bounded worker pool with per-tenant weighted
-//     fair queuing: workers always dispatch the batch of the active
-//     tenant with the least weight-normalized served work, so one noisy
-//     tenant cannot starve the rest.
+//   - Admission hands each job straight to the scheduler, a bounded
+//     worker pool with per-tenant weighted fair queuing: workers always
+//     dispatch the front job of the active tenant with the least
+//     weight-normalized served work (vertices/weight), so one noisy
+//     tenant cannot starve the rest. There is no coalescing stage: the
+//     solvers have no batched kernel to amortize, so a job runs as
+//     soon as a worker is free.
 //   - The solver layer is the existing registry dispatch
 //     (heuristics.Run / heuristics.Best) with per-request
 //     SolveOptions.Tenant and SolveOptions.Deadline plumbed through.
@@ -29,7 +28,7 @@
 // semantics reused as the service's degradation policy.
 //
 // The package also exposes the service/* fault sites (enqueue-drop,
-// batch-stall, worker-panic) so internal/chaos storms can drive the
+// worker-panic) so internal/chaos storms can drive the
 // daemon through its shedding and containment paths, and the shared
 // HTTP-server/signal scaffolding (NotifySignals, NewHTTPServer,
 // Shutdown) that cmd/ivc builds both its -http and -serve modes on.

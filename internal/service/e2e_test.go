@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,9 +108,9 @@ func gridWeights(n int) []int64 {
 }
 
 // TestServiceEquivalence checks the acceptance contract that a solve
-// through the full transport → batcher → scheduler stack returns
-// exactly what a direct heuristics.Run/Best call returns, in 2D and 3D,
-// and that the returned starts form a valid coloring.
+// through the full transport → scheduler stack returns exactly what a
+// direct heuristics.Run/Best call returns, in 2D and 3D, and that the
+// returned starts form a valid coloring.
 func TestServiceEquivalence(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 2})
 
@@ -172,10 +173,8 @@ func TestServiceEquivalence(t *testing.T) {
 func TestServiceConcurrentTenants(t *testing.T) {
 	reg := obsv.NewRegistry()
 	_, ts := newTestService(t, Config{
-		Workers:   4,
-		BatchSize: 4,
-		BatchWait: 2 * time.Millisecond,
-		Registry:  reg,
+		Workers:  4,
+		Registry: reg,
 		TenantWeights: map[string]float64{
 			"beta": 2,
 		},
@@ -255,19 +254,15 @@ func mustGrid2D(t *testing.T, n int) grid.Stencil {
 	return g
 }
 
-// TestServiceBatchStallShedsExpired storms the batcher with an injected
-// stall on every flush: jobs pile up behind the stalled queue, their
-// deadlines pass, and the dispatch-time check sheds them instead of
-// burning workers on doomed solves. The front of the queue, stalled but
-// not yet expired, must still complete.
+// TestServiceBatchStallShedsExpired stalls the only worker on every
+// dispatch with an injected stall: jobs pile up behind the stalled
+// queue, their deadlines pass, and the dispatch-time check sheds them
+// instead of burning the worker on doomed solves. The front of the
+// queue, stalled but not yet expired, must still complete.
 func TestServiceBatchStallShedsExpired(t *testing.T) {
 	inj := chaos.New(7)
-	inj.EveryNth(SiteBatchStall, 1, 0).Stalling(SiteBatchStall, 60*time.Millisecond)
-	_, ts := newTestService(t, Config{
-		Workers:   2,
-		BatchSize: 1, // immediate mode: one stalled flush per job
-		Injector:  inj,
-	})
+	inj.EveryNth(SiteWorkerPanic, 1, 0).Stalling(SiteWorkerPanic, 60*time.Millisecond)
+	_, ts := newTestService(t, Config{Workers: 1, Injector: inj})
 
 	const jobs = 8
 	ids := make([]string, 0, jobs)
@@ -300,8 +295,9 @@ func TestServiceBatchStallShedsExpired(t *testing.T) {
 			t.Errorf("job %s ended %q (%s), want done or shed", id, res.Status, res.Error)
 		}
 	}
-	// Flush i completes ~60(i+1)ms after submission against a 120ms
-	// deadline: the first job must survive, the tail must shed.
+	// Job i reaches the deadline check ~60(i+1)ms after submission
+	// against a 120ms deadline: the first job must survive, the tail
+	// must shed.
 	if done == 0 {
 		t.Error("every job shed; the front of the stalled queue should still complete")
 	}
@@ -393,7 +389,7 @@ func TestServiceWorkerPanicContained(t *testing.T) {
 }
 
 // TestServiceEnqueueDrop injects a drop between admission and the
-// batcher: the job is shed (503), accounting stays consistent, and the
+// scheduler: the job is shed (503), accounting stays consistent, and the
 // next job goes through.
 func TestServiceEnqueueDrop(t *testing.T) {
 	inj := chaos.New(5)
@@ -418,13 +414,13 @@ func TestServiceEnqueueDrop(t *testing.T) {
 }
 
 // TestServiceQueueBoundSheds fills a tenant's queue bound behind a
-// stalled batcher: admissions past the bound answer 503 immediately —
+// stalled worker: admissions past the bound answer 503 immediately —
 // the service sheds under overload instead of queuing unboundedly.
 func TestServiceQueueBoundSheds(t *testing.T) {
 	inj := chaos.New(11)
-	inj.EveryNth(SiteBatchStall, 1, 0).Stalling(SiteBatchStall, 200*time.Millisecond)
+	inj.EveryNth(SiteWorkerPanic, 1, 0).Stalling(SiteWorkerPanic, 200*time.Millisecond)
 	_, ts := newTestService(t, Config{
-		Workers: 1, BatchSize: 1, MaxQueuedPerTenant: 2, Injector: inj,
+		Workers: 1, MaxQueuedPerTenant: 2, Injector: inj,
 	})
 	full := 0
 	for i := 0; i < 4; i++ {
@@ -448,11 +444,27 @@ func TestServiceQueueBoundSheds(t *testing.T) {
 // instance, and GET /jobs/{id} still answers for the recent sheds.
 func TestServiceShedJobsRetired(t *testing.T) {
 	const retention = 4
-	// A long BatchWait parks the first job in the batcher, holding the
-	// tenant's only queue slot, so every later admission sheds.
-	srv, ts := newTestService(t, Config{
-		Workers: 1, MaxQueuedPerTenant: 1, BatchWait: time.Minute, JobRetention: retention,
+	// The only worker stalls on its first dispatch until the test ends:
+	// a blocker job handed straight to the scheduler (so it is not in
+	// the server's job map) holds it, the first submitted job then
+	// holds the tenant's only queue slot, and every later admission
+	// sheds.
+	release, stalled := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	inj := core.InjectorFunc(func(site core.FaultSite) bool {
+		if site == SiteWorkerPanic && held.CompareAndSwap(false, true) {
+			close(stalled)
+			<-release
+		}
+		return false
 	})
+	srv, ts := newTestService(t, Config{
+		Workers: 1, MaxQueuedPerTenant: 1, JobRetention: retention, Injector: inj,
+	})
+	defer close(release)
+	srv.sched.admit("hold")
+	srv.sched.enqueue(testJob(t, "blocker", "hold", testGrid(t, 2)))
+	<-stalled
 	req := Request{Alg: "GLL", X: 4, Y: 4, Weights: gridWeights(4), Async: true}
 	if code, res := postSolve(t, ts.URL, req); code != http.StatusAccepted {
 		t.Fatalf("first job: status %d/%q, want 202 queued", code, res.Status)

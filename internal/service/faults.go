@@ -11,23 +11,18 @@ const (
 	// the queue were full, exercising the transport's shed path without
 	// real pressure.
 	SiteEnqueueDrop = core.FaultSite("service/enqueue-drop")
-	// SiteBatchStall fires once per batch flush. A Stalling rule sleeps
-	// the batcher loop, delaying every pending batch — the modeled
-	// stalled queue that drives queued jobs past their deadlines and
-	// into the shed/partial policy.
-	SiteBatchStall = core.FaultSite("service/batch-stall")
 	// SiteWorkerPanic fires once per job dispatch inside a scheduler
-	// worker, before the solver runs. A Panicking rule crashes the
-	// worker's job; the worker contains the panic into a typed
-	// SolveError, fails that job alone, and keeps serving.
+	// worker, before the deadline check and the solver. A Panicking rule
+	// crashes the worker's job; the worker contains the panic into a
+	// typed SolveError, fails that job alone, and keeps serving. A
+	// Stalling rule holds the worker instead — the modeled stalled queue
+	// that drives jobs past their deadlines and into the shed policy.
 	SiteWorkerPanic = core.FaultSite("service/worker-panic")
 )
 
 func init() {
 	core.RegisterFaultSite(SiteEnqueueDrop,
 		"service admission, once per attempt: firing sheds the job as if the tenant queue were full")
-	core.RegisterFaultSite(SiteBatchStall,
-		"service batcher, once per flush: a Stalling rule delays pending batches toward their deadlines")
 	core.RegisterFaultSite(SiteWorkerPanic,
-		"service scheduler worker, once per job dispatch: a Panicking rule crashes the job; contained, the worker keeps serving")
+		"service scheduler worker, once per job dispatch: a Panicking rule crashes the job (contained, the worker keeps serving); a Stalling rule holds the worker")
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -99,9 +98,9 @@ type Result struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// job is the internal unit flowing transport → batcher → scheduler →
-// worker. The immutable routing fields are set at admission; the
-// mutable result is guarded by mu and published by closing done.
+// job is the internal unit flowing transport → scheduler → worker. The
+// immutable routing fields are set at admission; the mutable result is
+// guarded by mu and published by closing done.
 type job struct {
 	id       string
 	tenant   string
@@ -115,10 +114,10 @@ type job struct {
 	// admission span (nil when the server has no recorder); every later
 	// stage records its span against it.
 	tc *obsv.TraceContext
-	// flushed is when the batcher flushed the job to the scheduler,
-	// written by the batcher goroutine and read by the dispatching worker
-	// (the scheduler mutex orders the two).
-	flushed time.Time
+	// scheduled is when admission handed the job to the scheduler,
+	// written under the scheduler mutex and read by the dispatching
+	// worker after the mutex handed it over.
+	scheduled time.Time
 
 	mu       sync.Mutex
 	res      Result
@@ -165,12 +164,6 @@ func (j *job) finish(res Result) {
 // expired reports whether the job's deadline has passed at now.
 func (j *job) expired(now time.Time) bool {
 	return !j.deadline.IsZero() && now.After(j.deadline)
-}
-
-// batchKey groups compatible jobs: same tenant (fairness accounting
-// stays per-tenant), same algorithm, same dimensionality.
-func (j *job) batchKey() string {
-	return j.tenant + "|" + string(j.alg) + "|" + strconv.Itoa(j.stencil.Dims())
 }
 
 // algBest is the portfolio pseudo-algorithm accepted by the job API.

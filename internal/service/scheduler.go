@@ -13,9 +13,9 @@ type tenantState struct {
 	name   string
 	weight float64
 
-	queue  []*batch // FIFO of flushed batches awaiting a worker
-	queued int64    // jobs admitted but not yet dispatched (bound + gauge)
-	served float64  // weight-normalized work dispatched so far
+	queue  []*job  // FIFO of admitted jobs awaiting a worker
+	queued int64   // jobs admitted but not yet dispatched (bound + gauge)
+	served float64 // weight-normalized work dispatched so far
 
 	admitted int64 // jobs admitted past the queue bound, lifetime
 	shed     int64 // jobs refused or dropped by the overload policy, lifetime
@@ -67,8 +67,8 @@ type TenantStats struct {
 }
 
 // scheduler is the bounded worker pool with per-tenant weighted fair
-// queuing. Flushed batches enter per-tenant FIFOs; each free worker
-// dispatches the front batch of the active tenant with the least
+// queuing. Admitted jobs enter per-tenant FIFOs; each free worker
+// dispatches the front job of the active tenant with the least
 // weight-normalized served work, so throughput divides by weight among
 // tenants with pending work and an idle tenant's return preempts a
 // flooding one.
@@ -82,13 +82,13 @@ type scheduler struct {
 	weights   map[string]float64
 
 	metrics *obsv.ServiceMetrics
-	run     func(*batch) // worker body, supplied by the server
+	run     func(*job) // worker body, supplied by the server
 	wg      sync.WaitGroup
 }
 
 // newScheduler builds the scheduler; start launches its workers.
 func newScheduler(maxQueued int, weights map[string]float64,
-	m *obsv.ServiceMetrics, run func(*batch)) *scheduler {
+	m *obsv.ServiceMetrics, run func(*job)) *scheduler {
 
 	if maxQueued < 1 {
 		maxQueued = 1
@@ -140,9 +140,9 @@ func (s *scheduler) admit(name string) bool {
 }
 
 // unadmit releases a reserved queue slot for a job shed between
-// admission and dispatch (batcher backlog, injected enqueue drop). The
-// admit stays counted — both counters are monotone — and the job counts
-// as shed on top.
+// admission and dispatch (an injected enqueue drop). The admit stays
+// counted — both counters are monotone — and the job counts as shed on
+// top.
 func (s *scheduler) unadmit(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,28 +163,27 @@ func (s *scheduler) totalQueuedLocked() int64 {
 	return n
 }
 
-// enqueue appends a flushed batch to its tenant's FIFO and wakes one
-// worker. A tenant going active after idling resumes at the minimum
+// enqueue appends an admitted job to its tenant's FIFO, stamps the
+// hand-off time the dispatcher's "schedule" span starts at, and wakes
+// one worker. A tenant going active after idling resumes at the minimum
 // served level of the currently active tenants, so banked idle credit
 // cannot starve everyone else later.
-func (s *scheduler) enqueue(bt *batch) {
-	if len(bt.jobs) == 0 {
-		return
-	}
+func (s *scheduler) enqueue(j *job) {
 	s.mu.Lock()
-	ts := s.tenant(bt.jobs[0].tenant)
+	ts := s.tenant(j.tenant)
 	if len(ts.queue) == 0 {
 		if floor, ok := s.minActiveServedLocked(); ok && ts.served < floor {
 			ts.served = floor
 		}
 	}
-	ts.queue = append(ts.queue, bt)
+	j.scheduled = time.Now()
+	ts.queue = append(ts.queue, j)
 	s.mu.Unlock()
 	s.cond.Signal()
 }
 
 // minActiveServedLocked returns the least served level among tenants
-// with pending batches. Callers hold mu.
+// with pending jobs. Callers hold mu.
 func (s *scheduler) minActiveServedLocked() (float64, bool) {
 	var m float64
 	found := false
@@ -211,9 +210,9 @@ func (s *scheduler) start(n int) {
 }
 
 // close stops intake and waits for the workers to drain every queued
-// batch. Jobs still queued run under whatever remains of their
-// deadlines (the server cancels its base context on a forced stop, so a
-// drain never hangs on long solves).
+// job. Jobs still queued run under whatever remains of their deadlines
+// (the server cancels its base context on a forced stop, so a drain
+// never hangs on long solves).
 func (s *scheduler) close() {
 	s.mu.Lock()
 	s.closed = true
@@ -222,21 +221,22 @@ func (s *scheduler) close() {
 	s.wg.Wait()
 }
 
-// work is one worker's loop: pick the fair next batch, run it.
+// work is one worker's loop: pick the fair next job, run it.
 func (s *scheduler) work() {
 	for {
-		bt := s.next()
-		if bt == nil {
+		j := s.next()
+		if j == nil {
 			return
 		}
-		s.run(bt)
+		s.run(j)
 	}
 }
 
-// next blocks until a batch is available and returns the front batch of
-// the active tenant with the least weight-normalized served work; nil
-// means the scheduler closed and drained.
-func (s *scheduler) next() *batch {
+// next blocks until a job is available and returns the front job of the
+// active tenant with the least weight-normalized served work, charging
+// the tenant the job's vertex count; nil means the scheduler closed and
+// drained.
+func (s *scheduler) next() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -251,12 +251,13 @@ func (s *scheduler) next() *batch {
 			}
 		}
 		if pick != nil {
-			bt := pick.queue[0]
+			j := pick.queue[0]
 			pick.queue = pick.queue[1:]
-			pick.queued -= int64(len(bt.jobs))
-			pick.served += bt.work() / pick.weight
+			pick.queued--
+			pick.served += float64(j.stencil.Len()) / pick.weight
 			s.metrics.QueueDepth.Set(s.totalQueuedLocked())
-			return bt
+			s.metrics.DispatchSize.ObserveInt(1)
+			return j
 		}
 		if s.closed {
 			return nil

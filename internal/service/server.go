@@ -18,20 +18,12 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is serviceable: defaults
-// fill in a small worker pool, a short coalescing window, and a bounded
-// per-tenant queue, with every observability sink disabled.
+// fill in a small worker pool and a bounded per-tenant queue, with every
+// observability sink disabled.
 type Config struct {
 	// Workers bounds the scheduler's worker pool; <= 0 picks
 	// min(GOMAXPROCS, 4).
 	Workers int
-	// BatchSize is the batcher's size trigger; <= 0 picks 8, 1 disables
-	// coalescing.
-	BatchSize int
-	// BatchWait is the batcher's max-wait trigger; <= 0 picks 2ms.
-	BatchWait time.Duration
-	// QueueBuffer bounds the batcher intake channel; admission sheds
-	// when it is full. <= 0 picks 256.
-	QueueBuffer int
 	// MaxQueuedPerTenant bounds each tenant's admitted-but-undispatched
 	// jobs; past it, admission sheds. <= 0 picks 256.
 	MaxQueuedPerTenant int
@@ -93,15 +85,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = min(runtime.GOMAXPROCS(0), 4)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.BatchWait <= 0 {
-		cfg.BatchWait = 2 * time.Millisecond
-	}
-	if cfg.QueueBuffer <= 0 {
-		cfg.QueueBuffer = 256
-	}
 	if cfg.MaxQueuedPerTenant <= 0 {
 		cfg.MaxQueuedPerTenant = 256
 	}
@@ -117,13 +100,12 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Server is the assembled solve daemon: transport → batcher → scheduler
-// → solver. Build one with New, mount Handler, and Close it to drain.
+// Server is the assembled solve daemon: transport → fair scheduler →
+// solver. Build one with New, mount Handler, and Close it to drain.
 type Server struct {
 	cfg     Config
 	metrics *obsv.ServiceMetrics
 	solveM  *obsv.SolveMetrics
-	batcher *batcher
 	sched   *scheduler
 	// flight is the always-on per-request trace ring behind
 	// GET /debug/flight; slo holds the aggregate latency histograms
@@ -150,15 +132,15 @@ type Server struct {
 	doneOrder []string
 
 	// closing sheds new admissions during a drain; closeMu serializes
-	// admissions against closing the batcher intake.
+	// admissions against closing the scheduler.
 	closeMu sync.RWMutex
 	closing bool
 }
 
-// New assembles and starts a server: the batcher loop and the worker
-// pool run on return. Close stops them. The only constructor failure is
-// an unusable cache directory (Config.CacheDir); every other field has
-// a serviceable default.
+// New assembles and starts a server: the worker pool runs on return.
+// Close stops it. The only constructor failure is an unusable cache
+// directory (Config.CacheDir); every other field has a serviceable
+// default.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -200,18 +182,15 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.sched = newScheduler(cfg.MaxQueuedPerTenant, cfg.TenantWeights, s.metrics, s.runBatch)
-	s.batcher = newBatcher(cfg.BatchSize, cfg.BatchWait, cfg.QueueBuffer,
-		s.sched.enqueue, s.metrics, cfg.Events, cfg.Injector)
-	s.batcher.start()
+	s.sched = newScheduler(cfg.MaxQueuedPerTenant, cfg.TenantWeights, s.metrics, s.runJob)
 	s.sched.start(cfg.Workers)
 	return s, nil
 }
 
-// Close drains the daemon: new admissions shed, the batcher flushes its
-// pending batches, and the workers finish every queued job. When ctx
-// expires first, the server cancels its base context so in-flight and
-// still-queued solves abort promptly, then finishes the drain.
+// Close drains the daemon: new admissions shed, and the workers finish
+// every queued job. When ctx expires first, the server cancels its base
+// context so in-flight and still-queued solves abort promptly, then
+// finishes the drain.
 func (s *Server) Close(ctx context.Context) error {
 	s.closeMu.Lock()
 	if s.closing {
@@ -221,9 +200,10 @@ func (s *Server) Close(ctx context.Context) error {
 	s.closing = true
 	s.closeMu.Unlock()
 
+	// Every admission checks closing under closeMu, so no job reaches the
+	// scheduler after this point.
 	drained := make(chan struct{})
 	go func() {
-		s.batcher.stop()
 		s.sched.close()
 		close(drained)
 	}()
@@ -253,8 +233,8 @@ func (s *Server) Submit(req *Request) (*job, error) {
 	}
 	id := fmt.Sprintf("job-%d", s.nextID.Add(1))
 	// Mint the request's trace: the admission span is the root, and the
-	// job's context is parented under it so every later stage (batch,
-	// schedule, solve, distsolve rounds) hangs off one tree.
+	// job's context is parented under it so every later stage (schedule,
+	// solve, distsolve rounds) hangs off one tree.
 	tc := s.flight.NewContext(id, tenant)
 	adm := tc.Start("admission")
 	defer adm.End()
@@ -279,11 +259,7 @@ func (s *Server) Submit(req *Request) (*job, error) {
 		s.shed(j, "injected enqueue drop", true)
 		return j, nil
 	}
-	if !s.batcher.enqueue(j) {
-		s.sched.unadmit(tenant)
-		s.shed(j, "batcher backlogged: shedding instead of queuing unboundedly", true)
-		return j, nil
-	}
+	s.sched.enqueue(j)
 	return j, nil
 }
 
@@ -322,7 +298,7 @@ func (s *Server) lookup(id string) (*job, bool) {
 // oldest finished jobs beyond the configured bound. It drops the job's
 // instance: GET /jobs/{id} needs only the Result, and a retained job
 // would otherwise pin its weights. Every stage that reads the stencil
-// (batcher, scheduler, solve) is behind j by then.
+// (scheduler, solve) is behind j by then.
 func (s *Server) retire(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
@@ -334,23 +310,16 @@ func (s *Server) retire(j *job) {
 	}
 }
 
-// runBatch is the worker body: run the batch's jobs in order,
-// accounting the busy-worker gauge.
-func (s *Server) runBatch(bt *batch) {
-	s.metrics.WorkersBusy.Set(s.busy.Add(1))
-	defer func() { s.metrics.WorkersBusy.Set(s.busy.Add(-1)) }()
-	for _, j := range bt.jobs {
-		s.runJob(j)
-	}
-}
-
-// runJob executes one dispatched job end to end: the deadline shed
-// check, the worker-panic fault site, registry dispatch with the
-// per-request tenant/deadline options, and result classification. It is
-// the worker's panic boundary: a panic (a worker bug, or the injected
+// runJob is the worker body: it executes one dispatched job end to
+// end — the busy-worker gauge, the worker-panic fault site, the
+// deadline shed check, registry dispatch with the per-request
+// tenant/deadline options, and result classification. It is the
+// worker's panic boundary: a panic (a worker bug, or the injected
 // worker-panic fault) fails this job alone and the worker keeps
 // serving.
 func (s *Server) runJob(j *job) {
+	s.metrics.WorkersBusy.Set(s.busy.Add(1))
+	defer func() { s.metrics.WorkersBusy.Set(s.busy.Add(-1)) }()
 	defer s.retire(j)
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -362,20 +331,19 @@ func (s *Server) runJob(j *job) {
 		}
 	}()
 
-	queueWait := time.Since(j.enqueued)
-	if !j.flushed.IsZero() {
-		// The scheduler wait, stamped retroactively: flush-to-dispatch
-		// (the batch span already covers admission-to-flush).
-		j.tc.Observe("schedule", j.flushed, time.Since(j.flushed))
+	if s.cfg.Injector != nil {
+		// A Panicking rule crashes here; the deferred recover contains it.
+		// A Stalling rule holds the worker before the deadline check, as
+		// if the job had waited that much longer in the queue.
+		core.InjectTraced(s.cfg.Injector, SiteWorkerPanic, j.tc.TraceID())
 	}
+	queueWait := time.Since(j.enqueued)
+	// The scheduler wait, stamped retroactively: hand-off to dispatch.
+	j.tc.Observe("schedule", j.scheduled, time.Since(j.scheduled))
 	if j.expired(time.Now()) {
 		s.sched.shedStats(j.tenant)
 		s.shedExpired(j, queueWait)
 		return
-	}
-	if s.cfg.Injector != nil {
-		// A Panicking rule crashes here; the deferred recover contains it.
-		core.InjectTraced(s.cfg.Injector, SiteWorkerPanic, j.tc.TraceID())
 	}
 
 	fs := j.tc.Start("solve")
@@ -456,8 +424,8 @@ func (s *Server) runJob(j *job) {
 }
 
 // shedExpired finishes a job whose deadline passed while it waited in
-// the batcher or the fair queue — the in-queue face of the shedding
-// policy (the mid-solve face returns a partial result instead).
+// the fair queue — the in-queue face of the shedding policy (the
+// mid-solve face returns a partial result instead).
 func (s *Server) shedExpired(j *job, queueWait time.Duration) {
 	reason := fmt.Sprintf("deadline expired after %.1fms queued: shed instead of running a doomed solve (mid-solve expiry would return a partial result; see ErrPartial)",
 		float64(queueWait.Microseconds())/1000)

@@ -75,7 +75,7 @@ func findSpan(t *testing.T, recs []flightRec, name string) flightRec {
 // TestServiceTraceSpanTree submits one solve through the full HTTP stack
 // and asserts the acceptance-contract span tree: the result carries a
 // trace id, and /debug/flight filtered by job id shows admission as the
-// root with batch, schedule, and solve parented under it and the
+// root with schedule and solve parented under it and the
 // registry's solve:GLL span under solve — one connected tree per
 // request. The tenant's /healthz SLO quantiles must be live afterwards.
 func TestServiceTraceSpanTree(t *testing.T) {
@@ -104,7 +104,7 @@ func TestServiceTraceSpanTree(t *testing.T) {
 	if adm.Parent != "" {
 		t.Errorf("admission span has parent %s, want none (the root)", adm.Parent)
 	}
-	for _, stage := range []string{"batch", "schedule", "solve"} {
+	for _, stage := range []string{"schedule", "solve"} {
 		sp := findSpan(t, dump.Records, stage)
 		if sp.Parent != adm.Span {
 			t.Errorf("%s span parent %s, want the admission span %s", stage, sp.Parent, adm.Span)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"stencilivc/internal/chaos"
 	"stencilivc/internal/grid"
 	"stencilivc/internal/heuristics"
 )
@@ -277,9 +278,12 @@ func randomResult(rng *rand.Rand) Result {
 // async job is done, each equal to the reference encoding of the Result
 // it decodes to.
 func TestWriteResultMatchesEncodingEndToEnd(t *testing.T) {
-	// BatchSize 2 with a long BatchWait holds the async job queued until
-	// the sync job with the same batch key arrives and flushes both.
-	_, ts := newTestService(t, Config{Workers: 1, BatchSize: 2, BatchWait: time.Minute})
+	// The only worker stalls on the async job's dispatch, so its 202
+	// reply is written while it is still queued, and the sync job waits
+	// behind it.
+	inj := chaos.New(1)
+	inj.OnNth(SiteWorkerPanic, 1).Stalling(SiteWorkerPanic, 100*time.Millisecond)
+	_, ts := newTestService(t, Config{Workers: 1, Injector: inj})
 	post := func(async bool) (int, []byte) {
 		body := fmt.Sprintf(`{"tenant":"t<&>","alg":"GLL","x":6,"y":6,"weights":%s,"async":%v}`,
 			mustJSON(t, gridWeights(6)), async)
